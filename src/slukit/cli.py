@@ -16,6 +16,7 @@ import io
 import json
 import os
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 from . import __version__, corpus, homogenize, metrics, projection, sampler, significance, tagger
@@ -37,14 +38,23 @@ def _read_text(path: str) -> str:
         return Path(path).read_text(encoding="utf-8")
     except OSError as err:
         raise ToolkitError(f"cannot read {path}: {err.strerror or err}") from None
+    except UnicodeDecodeError as err:
+        raise ToolkitError(f"cannot read {path}: not UTF-8 text (byte {err.start})") from None
+
+
+@contextmanager
+def _writing(path: Path):
+    """Create the parent directory of an output and report OS failures as errors."""
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        yield
+    except OSError as err:
+        raise ToolkitError(f"cannot write {path}: {err.strerror or err}") from None
 
 
 def _write_text(path: Path, text: str) -> None:
-    try:
-        path.parent.mkdir(parents=True, exist_ok=True)
+    with _writing(path):
         path.write_text(text, encoding="utf-8")
-    except OSError as err:
-        raise ToolkitError(f"cannot write {path}: {err.strerror or err}") from None
 
 
 def _digest(path: str) -> str:
@@ -180,7 +190,9 @@ def _cmd_train(args) -> None:
         max_mlm_sentences=args.max_mlm_sentences,
     )
     model, log = tagger.train(data, config, mlm_sentences)
-    tagger.save_model(model, _resolve_out(args.out))
+    out = _resolve_out(args.out)
+    with _writing(out):
+        tagger.save_model(model, out)
     fmt = lambda v: "-" if v is None else f"{v:.6f}"
     for entry in log:
         print(
@@ -201,7 +213,10 @@ def _cmd_predict(args) -> None:
 def _load_model(path: str) -> tagger.TaggerModel:
     if not Path(path).exists():
         raise ToolkitError(f"cannot read {path}: no such file")
-    return tagger.load_model(path)
+    try:
+        return tagger.load_model(path)
+    except OSError as err:
+        raise ToolkitError(f"cannot read {path}: {err.strerror or err}") from None
 
 
 def _cmd_agreement(args) -> None:

@@ -8,6 +8,7 @@ between damp the dominance of large tasks.
 from __future__ import annotations
 
 import bisect
+import math
 import random
 from dataclasses import dataclass
 from itertools import accumulate
@@ -46,6 +47,8 @@ def sampling_weights(sizes, alpha: float) -> list[float]:
     sizes = list(sizes)
     if not sizes:
         raise StructuralError("no task sizes given")
+    if not math.isfinite(alpha):
+        raise StructuralError(f"alpha must be finite, got {alpha!r}")
     if alpha < 0:
         raise StructuralError("alpha must be >= 0")
     if any(s < 1 for s in sizes):

@@ -8,6 +8,13 @@ auxiliary objective on raw text. Task losses are mean cross-entropies
 combined as a weighted sum; decoding is greedy argmax with the tag
 sequence repaired into valid BIO.
 
+Training and prediction share one engine: a batch of sequences is padded
+to [B, T] with <pad>, the input projections are one matmul per direction,
+and the recurrence and its backpropagation run in [B, h] steps, with the
+weight gradients formed as matmuls after the time loop. An SGD step
+touches only the tensors its batch used: the heads of the tasks present
+and the embedding rows of the ids present.
+
 Everything runs in float64 numpy with hand-written backpropagation and
 plain fixed-rate SGD, so training is bit-reproducible for a given seed
 and every gradient can be audited against finite differences. For
@@ -22,7 +29,7 @@ import json
 import math
 import random
 from dataclasses import asdict, dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -33,9 +40,9 @@ from .sampler import InstanceCycler, TaskSpec, schedule_epoch
 
 PAD, UNK, MASK, CLS = "<pad>", "<unk>", "<mask>", "<cls>"
 # Reserved token ids, fixed in this order: 0 <pad>, 1 <unk>, 2 <mask>, 3 <cls>.
-# The current encoder consumes unpadded sequences and derives the sentence
-# vector from the recurrence endpoints, so <pad> and <cls> are reserved for
-# format stability rather than used in computation.
+# <pad> fills batch rows past their length; those positions never reach a
+# loss or a gradient. The sentence vector comes from the recurrence
+# endpoints, so <cls> is reserved for format stability only.
 RESERVED_TOKENS = (PAD, UNK, MASK, CLS)
 PAD_ID, UNK_ID, MASK_ID, CLS_ID = range(4)
 
@@ -43,6 +50,12 @@ SLU_TASK = "slu"
 MLM_TASK = "mlm"
 
 CHECKPOINT_VERSION = 1
+
+# Rows per padded forward in predict_dataset. 64 runs as fast as 128 or a
+# whole dataset at once and keeps each forward's arrays near 1 MB; at 128
+# the freed arrays fragmented the heap enough to add about 8 MiB to the
+# peak resident memory of a train-then-predict process.
+PREDICT_CHUNK = 64
 
 
 @dataclass(frozen=True)
@@ -147,6 +160,9 @@ class TrainConfig:
     max_mlm_sentences: int = 100_000
 
     def __post_init__(self):
+        for name in ("learning_rate", "w_intent", "w_slot", "w_mlm", "mask_rate", "alpha"):
+            if not math.isfinite(getattr(self, name)):
+                raise StructuralError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.embed_dim < 1 or self.hidden_dim < 1:
             raise StructuralError("encoder dimensions must be >= 1")
         if self.learning_rate < 0:
@@ -230,36 +246,116 @@ def validate_params(params: ModelParams, config: TrainConfig, vocab: Vocab) -> N
             raise StructuralError(f"parameter {name} contains non-finite values")
 
 
-def _forward(params: ModelParams, token_ids) -> tuple[np.ndarray, np.ndarray, tuple]:
-    ids = list(token_ids)
-    if not ids:
+class _Cache(NamedTuple):
+    """What the backward pass needs from one padded forward."""
+
+    ids: np.ndarray  # [2, T, B] input ids; direction 1 holds each row reversed
+    x: np.ndarray  # [2, T*B, d] embedded inputs, time-major
+    w_in: np.ndarray  # [2, d, h] input projections, forward then backward
+    w_state: np.ndarray  # [2, h, h] recurrent weights
+    states: np.ndarray  # [T, 2, B, h] hidden states in each direction's own order
+    valid: np.ndarray  # [B, T] True at real (unpadded) positions
+    rev: np.ndarray  # [B, T] position t <-> L-1-t within each row; padding fixed
+    lengths: np.ndarray  # [B]
+
+
+def _forward(params: ModelParams, id_lists) -> tuple[np.ndarray, np.ndarray, _Cache]:
+    """Encode a batch of id sequences in one padded [B, T] pass.
+
+    Rows are padded with PAD_ID to the longest length T. Both directions
+    run as one stacked [2, B, h] recurrence over left-aligned rows:
+    direction 0 reads each row forwards, direction 1 reads it reversed,
+    so the backward direction starts at the row's own last token and
+    both directions go through the same operations in the same order.
+    States past a row's end are computed but never read, and receive
+    exactly zero gradient.
+
+    Returns per-token states [B, T, 2h] (forward half, then backward half
+    in original token order), sentence vectors [B, 2h] (last forward
+    state, first backward state) and the cache for _backward.
+    """
+    lengths = np.array([len(ids) for ids in id_lists], dtype=np.intp)
+    if lengths.size == 0 or lengths.min() == 0:
         raise StructuralError("empty token sequence")
+    n_rows, n_steps = lengths.size, int(lengths.max())
+    ids = np.full((2, n_steps, n_rows), PAD_ID, dtype=np.intp)
+    for row, (seq, n) in enumerate(zip(id_lists, lengths)):
+        ids[0, :n, row] = seq
+        ids[1, :n, row] = seq[::-1]
     v = params["emb"].shape[0]
-    for t in ids:
-        if not 0 <= t < v:
-            raise StructuralError(f"token id {t} out of range for vocab size {v}")
-    x = params["emb"][ids]
-    n = len(ids)
-    h = params["b_fwd"].shape[0]
-    fwd = np.empty((n, h))
-    state = np.zeros(h)
-    for t in range(n):
-        state = np.tanh(x[t] @ params["w_fwd_in"] + state @ params["w_fwd_state"] + params["b_fwd"])
-        fwd[t] = state
-    bwd = np.empty((n, h))
-    state = np.zeros(h)
-    for t in range(n - 1, -1, -1):
-        state = np.tanh(x[t] @ params["w_bwd_in"] + state @ params["w_bwd_state"] + params["b_bwd"])
-        bwd[t] = state
-    states = np.concatenate([fwd, bwd], axis=1)
-    sent = np.concatenate([fwd[n - 1], bwd[0]])
-    return states, sent, (ids, x, fwd, bwd)
+    bad = (ids[0] < 0) | (ids[0] >= v)
+    if bad.any():
+        raise StructuralError(f"token id {int(ids[0][bad][0])} out of range for vocab size {v}")
+
+    w_in = np.stack([params["w_fwd_in"], params["w_bwd_in"]])
+    w_state = np.stack([params["w_fwd_state"], params["w_bwd_state"]])
+    bias = np.stack([params["b_fwd"], params["b_bwd"]])
+    h = bias.shape[1]
+    x = params["emb"][ids.reshape(2, -1)]
+    pre = (x @ w_in + bias[:, None, :]).reshape(2, n_steps, n_rows, h).transpose(1, 0, 2, 3)
+    states = np.empty(pre.shape)
+    np.tanh(pre[0], out=states[0])
+    for t in range(1, n_steps):
+        np.tanh(pre[t] + states[t - 1] @ w_state, out=states[t])
+
+    steps = np.arange(n_steps)
+    valid = steps < lengths[:, None]
+    rev = np.where(valid, lengths[:, None] - 1 - steps, steps)
+    rows = np.arange(n_rows)
+    token_states = np.concatenate(
+        [states[:, 0].transpose(1, 0, 2), states[rev, 1, rows[:, None]]], axis=2
+    )
+    last = lengths - 1
+    sent = np.concatenate([states[last, 0, rows], states[last, 1, rows]], axis=1)
+    return token_states, sent, _Cache(ids, x, w_in, w_state, states, valid, rev, lengths)
+
+
+def _backward(cache: _Cache, d_token_states, d_sent) -> tuple[dict[str, np.ndarray], np.ndarray]:
+    """Backpropagate through both recurrences in [2, B, h] steps.
+
+    Weight, bias and input gradients are formed as matmuls after the time
+    loop. Returns the encoder gradients, with "emb" holding only the rows
+    listed in the second return value (the distinct ids of the batch).
+    """
+    ids, x, w_in, w_state, states, valid, rev, lengths = cache
+    n_steps, _, n_rows, h = states.shape
+    rows = np.arange(n_rows)
+    d_states = np.empty_like(states)
+    d_states[:, 0] = d_token_states[..., :h].transpose(1, 0, 2)
+    d_states[:, 1] = d_token_states[rows[:, None], rev, h:].transpose(1, 0, 2)
+    last = lengths - 1
+    d_states[last, 0, rows] += d_sent[:, :h]
+    d_states[last, 1, rows] += d_sent[:, h:]
+
+    d_tanh = 1.0 - states * states
+    w_state_t = np.ascontiguousarray(w_state.transpose(0, 2, 1))
+    d_pre = np.empty_like(states)
+    np.multiply(d_states[-1], d_tanh[-1], out=d_pre[-1])
+    for t in range(n_steps - 2, -1, -1):
+        np.multiply(d_states[t] + d_pre[t + 1] @ w_state_t, d_tanh[t], out=d_pre[t])
+
+    d_pre = d_pre.transpose(1, 0, 2, 3).reshape(2, -1, h)
+    flat_states = states.transpose(1, 0, 2, 3).reshape(2, -1, h)
+    g_in = x.transpose(0, 2, 1) @ d_pre
+    g_state = flat_states[:, : (n_steps - 1) * n_rows].transpose(0, 2, 1) @ d_pre[:, n_rows:]
+    g_bias = d_pre.sum(axis=1)
+    real = valid.T.ravel()
+    d_x = d_pre[:, real] @ w_in.transpose(0, 2, 1)
+    emb_rows, where = np.unique(ids.reshape(2, -1)[:, real], return_inverse=True)
+    g_emb = np.zeros((emb_rows.size, x.shape[2]))
+    np.add.at(g_emb, where.ravel(), d_x.reshape(-1, x.shape[2]))
+    grads = {
+        "emb": g_emb,
+        "w_fwd_in": g_in[0], "w_fwd_state": g_state[0], "b_fwd": g_bias[0],
+        "w_bwd_in": g_in[1], "w_bwd_state": g_state[1], "b_bwd": g_bias[1],
+    }
+    return grads, emb_rows
 
 
 def encode(params: ModelParams, token_ids) -> tuple[np.ndarray, np.ndarray]:
     """Run the encoder; returns per-token states [n, 2h] and the sentence vector [2h]."""
-    states, sent, _ = _forward(params, token_ids)
-    return states, sent
+    token_states, sent, _ = _forward(params, [list(token_ids)])
+    return token_states[0], sent[0]
 
 
 @dataclass(frozen=True)
@@ -316,95 +412,82 @@ def joint_loss(
     params: ModelParams, batch: Sequence[Example], weights: LossWeights
 ) -> tuple[float, dict[str, np.ndarray]]:
     """Weighted multi-task loss and analytic gradients for one batch."""
-    loss, grads, _ = _loss_and_grads(params, batch, weights)
-    return loss, grads
+    loss, grads, emb_rows, _ = _loss_and_grads(params, batch, weights)
+    dense = {name: np.zeros_like(arr) for name, arr in params.items()}
+    for name, grad in grads.items():
+        if name == "emb":
+            dense[name][emb_rows] = grad
+        else:
+            dense[name][...] = grad
+    return loss, dense
 
 
 def _loss_and_grads(params, batch, weights):
-    """Returns (loss, gradient dict, per-task mean CE dict).
+    """Returns (loss, gradients, embedding rows, per-task mean CE dict).
 
     Each present task contributes weight * mean cross-entropy, the mean
     taken over that task's prediction units across the whole batch:
     sequences for intents, tokens for slots, masked positions for mlm.
+    Gradients cover only the tensors the batch touches: the encoder
+    always, a head only when its task is present. Their "emb" entry holds
+    just the rows listed in the embedding-rows array.
     """
     batch = list(batch)
     if not batch:
         raise StructuralError("empty batch")
-    n_intent = sum(1 for ex in batch if ex.intent_id is not None)
-    n_slot = sum(len(ex.slot_ids) for ex in batch if ex.slot_ids is not None)
-    n_mlm = sum(len(ex.mlm_targets) for ex in batch)
+    intent_rows = [b for b, ex in enumerate(batch) if ex.intent_id is not None]
+    slot_rows = [b for b, ex in enumerate(batch) if ex.slot_ids is not None]
+    mlm_units = [(b, p, tok) for b, ex in enumerate(batch) for p, tok in ex.mlm_targets]
+    n_intent = len(intent_rows)
+    n_slot = sum(len(batch[b].slot_ids) for b in slot_rows)
+    n_mlm = len(mlm_units)
     if n_intent == 0 and n_slot == 0 and n_mlm == 0:
         raise StructuralError("batch carries no task labels")
 
-    grads = {name: np.zeros_like(arr) for name, arr in params.items()}
+    token_states, sent, cache = _forward(params, [ex.token_ids for ex in batch])
+    d_token_states = np.zeros_like(token_states)
+    d_sent = np.zeros_like(sent)
+    grads: dict[str, np.ndarray] = {}
     sums = {"intent": 0.0, "slot": 0.0, "mlm": 0.0}
-    h = params["b_fwd"].shape[0]
 
-    for ex in batch:
-        states, sent, (ids, x, fwd, bwd) = _forward(params, ex.token_ids)
-        n = len(ids)
-        d_states = np.zeros_like(states)
-        d_sent = np.zeros(2 * h)
+    if n_intent:
+        rows = np.array(intent_rows)
+        feats = sent[rows]
+        logits = feats @ params["w_intent"] + params["b_intent"]
+        losses, dlogits = _ce_rows(logits, np.array([batch[b].intent_id for b in intent_rows]))
+        sums["intent"] = float(losses.sum())
+        scaled = dlogits * (weights.intent / n_intent)
+        grads["w_intent"] = feats.T @ scaled
+        grads["b_intent"] = scaled.sum(axis=0)
+        d_sent[rows] = scaled @ params["w_intent"].T
 
-        if ex.intent_id is not None:
-            logits = (sent @ params["w_intent"] + params["b_intent"])[None, :]
-            losses, dlogits = _ce_rows(logits, np.array([ex.intent_id]))
-            sums["intent"] += float(losses[0])
-            scaled = dlogits[0] * (weights.intent / n_intent)
-            grads["w_intent"] += np.outer(sent, scaled)
-            grads["b_intent"] += scaled
-            d_sent += params["w_intent"] @ scaled
+    if n_slot:
+        has_slots = np.zeros(len(batch), dtype=bool)
+        has_slots[slot_rows] = True
+        where = cache.valid & has_slots[:, None]
+        feats = token_states[where]
+        logits = feats @ params["w_slot"] + params["b_slot"]
+        targets = np.concatenate([batch[b].slot_ids for b in slot_rows])
+        losses, dlogits = _ce_rows(logits, targets)
+        sums["slot"] = float(losses.sum())
+        scaled = dlogits * (weights.slot / n_slot)
+        grads["w_slot"] = feats.T @ scaled
+        grads["b_slot"] = scaled.sum(axis=0)
+        d_token_states[where] += scaled @ params["w_slot"].T
 
-        if ex.slot_ids is not None:
-            logits = states @ params["w_slot"] + params["b_slot"]
-            losses, dlogits = _ce_rows(logits, np.asarray(ex.slot_ids))
-            sums["slot"] += float(losses.sum())
-            scaled = dlogits * (weights.slot / n_slot)
-            grads["w_slot"] += states.T @ scaled
-            grads["b_slot"] += scaled.sum(axis=0)
-            d_states += scaled @ params["w_slot"].T
+    if n_mlm:
+        mlm_rows, positions, originals = np.array(mlm_units).T
+        feats = token_states[mlm_rows, positions]
+        logits = feats @ params["w_mlm"] + params["b_mlm"]
+        losses, dlogits = _ce_rows(logits, originals)
+        sums["mlm"] = float(losses.sum())
+        scaled = dlogits * (weights.mlm / n_mlm)
+        grads["w_mlm"] = feats.T @ scaled
+        grads["b_mlm"] = scaled.sum(axis=0)
+        d_token_states[mlm_rows, positions] += scaled @ params["w_mlm"].T
 
-        if ex.mlm_targets:
-            positions = np.array([p for p, _ in ex.mlm_targets])
-            originals = np.array([t for _, t in ex.mlm_targets])
-            sub = states[positions]
-            logits = sub @ params["w_mlm"] + params["b_mlm"]
-            losses, dlogits = _ce_rows(logits, originals)
-            sums["mlm"] += float(losses.sum())
-            scaled = dlogits * (weights.mlm / n_mlm)
-            grads["w_mlm"] += sub.T @ scaled
-            grads["b_mlm"] += scaled.sum(axis=0)
-            d_states[positions] += scaled @ params["w_mlm"].T
-
-        # backprop through both recurrences; sentence vector feeds the
-        # endpoints (last forward state, first backward state)
-        d_fwd = d_states[:, :h].copy()
-        d_bwd = d_states[:, h:].copy()
-        d_fwd[n - 1] += d_sent[:h]
-        d_bwd[0] += d_sent[h:]
-        d_x = np.zeros_like(x)
-
-        carry = np.zeros(h)
-        for t in range(n - 1, -1, -1):
-            d_pre = (d_fwd[t] + carry) * (1.0 - fwd[t] ** 2)
-            grads["b_fwd"] += d_pre
-            grads["w_fwd_in"] += np.outer(x[t], d_pre)
-            if t > 0:
-                grads["w_fwd_state"] += np.outer(fwd[t - 1], d_pre)
-            d_x[t] += params["w_fwd_in"] @ d_pre
-            carry = params["w_fwd_state"] @ d_pre
-
-        carry = np.zeros(h)
-        for t in range(n):
-            d_pre = (d_bwd[t] + carry) * (1.0 - bwd[t] ** 2)
-            grads["b_bwd"] += d_pre
-            grads["w_bwd_in"] += np.outer(x[t], d_pre)
-            if t < n - 1:
-                grads["w_bwd_state"] += np.outer(bwd[t + 1], d_pre)
-            d_x[t] += params["w_bwd_in"] @ d_pre
-            carry = params["w_bwd_state"] @ d_pre
-
-        np.add.at(grads["emb"], ids, d_x)
+    encoder_grads, emb_rows = _backward(cache, d_token_states, d_sent)
+    grads.update(encoder_grads)
 
     parts = {
         "intent": sums["intent"] / n_intent if n_intent else None,
@@ -415,7 +498,7 @@ def _loss_and_grads(params, batch, weights):
     for task, weight in (("intent", weights.intent), ("slot", weights.slot), ("mlm", weights.mlm)):
         if parts[task] is not None:
             loss += weight * parts[task]
-    return float(loss), grads, parts
+    return float(loss), grads, emb_rows, parts
 
 
 def mask_tokens(token_ids, rate: float, seed: int, vocab_size: int):
@@ -525,11 +608,14 @@ def train(
                         batch.append(Example(token_ids=tuple(corrupted), mlm_targets=targets))
                 if not batch:
                     continue  # masking selected nothing in this draw
-            loss, grads, parts = _loss_and_grads(params, batch, weights)
+            loss, grads, emb_rows, parts = _loss_and_grads(params, batch, weights)
             if not math.isfinite(loss):
                 raise DivergenceError(epoch, batch_index)
             for name, grad in grads.items():
-                params[name] -= config.learning_rate * grad
+                if name == "emb":
+                    params[name][emb_rows] -= config.learning_rate * grad
+                else:
+                    params[name] -= config.learning_rate * grad
             totals.append(loss)
             for part, value in parts.items():
                 if value is not None:
@@ -552,22 +638,43 @@ def predict(model: TaggerModel, tokens) -> tuple[str, list[str]]:
     toks = list(tokens)
     if not toks:
         raise StructuralError("cannot predict on an empty token list")
-    ids = model.vocab.encode_tokens(toks)
-    states, sent = encode(model.params, ids)
-    intent_logits = sent @ model.params["w_intent"] + model.params["b_intent"]
-    intent = model.vocab.intents[int(np.argmax(intent_logits))]
-    slot_logits = states @ model.params["w_slot"] + model.params["b_slot"]
-    raw = [model.vocab.slot_tags[int(k)] for k in np.argmax(slot_logits, axis=1)]
-    return intent, bio.repair(raw)
+    return _decode(model, [model.vocab.encode_tokens(toks)])[0]
+
+
+def _decode(model: TaggerModel, id_lists) -> list[tuple[str, list[str]]]:
+    """Greedy decode of a batch of id sequences in one padded forward."""
+    params = model.params
+    token_states, sent, cache = _forward(params, id_lists)
+    intents = np.argmax(sent @ params["w_intent"] + params["b_intent"], axis=1).tolist()
+    slot_logits = token_states[cache.valid] @ params["w_slot"] + params["b_slot"]
+    tags = [model.vocab.slot_tags[k] for k in np.argmax(slot_logits, axis=1).tolist()]
+    out = []
+    start = 0
+    for intent, n in zip(intents, cache.lengths.tolist()):
+        out.append((model.vocab.intents[intent], bio.repair(tags[start : start + n])))
+        start += n
+    return out
 
 
 def predict_dataset(model: TaggerModel, data: Dataset) -> Dataset:
-    """Re-tag every utterance with predicted intent and slots."""
-    out = []
-    for utt in data:
-        intent, tags = predict(model, utt.tokens)
-        out.append(Utterance(utt.id, utt.text, utt.tokens, tuple(tags), intent))
-    return Dataset(f"{data.name}-predicted", tuple(out))
+    """Re-tag every utterance with predicted intent and slots.
+
+    Utterances are decoded in length-sorted chunks of PREDICT_CHUNK rows,
+    so that each padded forward wastes few steps; the output keeps the
+    input order.
+    """
+    ids = [model.vocab.encode_tokens(utt.tokens) for utt in data]
+    order = sorted(range(len(ids)), key=lambda i: len(ids[i]))
+    decoded: list = [None] * len(ids)
+    for start in range(0, len(order), PREDICT_CHUNK):
+        chunk = order[start : start + PREDICT_CHUNK]
+        for i, result in zip(chunk, _decode(model, [ids[i] for i in chunk])):
+            decoded[i] = result
+    out = tuple(
+        Utterance(utt.id, utt.text, utt.tokens, tuple(tags), intent)
+        for utt, (intent, tags) in zip(data, decoded)
+    )
+    return Dataset(f"{data.name}-predicted", out)
 
 
 def save_model(model: TaggerModel, path) -> None:
@@ -593,7 +700,12 @@ def save_model(model: TaggerModel, path) -> None:
 def load_model(path) -> TaggerModel:
     """Load a checkpoint, validating version and tensor shapes against the config."""
     with open(path, "r", encoding="utf-8") as handle:
-        payload = json.load(handle)
+        try:
+            payload = json.load(handle)
+        except ValueError as err:  # also covers non-UTF-8 bytes
+            raise StructuralError(f"{path}: not a JSON checkpoint: {err}") from None
+    if not isinstance(payload, dict):
+        raise StructuralError(f"{path}: not a JSON checkpoint object")
     version = payload.get("format_version")
     if version != CHECKPOINT_VERSION:
         raise StructuralError(f"unsupported checkpoint version {version!r}")
@@ -609,12 +721,19 @@ def load_model(path) -> TaggerModel:
         raise StructuralError(f"checkpoint missing field {err}") from None
     except TypeError as err:
         raise StructuralError(f"bad checkpoint config: {err}") from None
+    if not isinstance(raw, dict):
+        raise StructuralError(f"{path}: checkpoint params are not an object")
     params = {}
     for name, entry in raw.items():
-        arr = np.array(entry["data"], dtype=np.float64)
-        expected = int(np.prod(entry["shape"])) if entry["shape"] else 1
-        if arr.size != expected:
-            raise StructuralError(f"parameter {name}: data does not match declared shape")
-        params[name] = arr.reshape(entry["shape"])
+        try:
+            arr = np.array(entry["data"], dtype=np.float64)
+            shape = tuple(int(n) for n in entry["shape"])
+            if arr.size != math.prod(shape):
+                raise StructuralError(f"parameter {name}: data does not match declared shape")
+            params[name] = arr.reshape(shape)
+        except KeyError as err:
+            raise StructuralError(f"parameter {name}: missing field {err}") from None
+        except (TypeError, ValueError) as err:
+            raise StructuralError(f"parameter {name}: {err}") from None
     validate_params(params, config, vocab)
     return TaggerModel(config, vocab, params)

@@ -190,6 +190,9 @@ class TestSchedule:
 
 
 class TestTrainPredict:
+    TRAIN = ["train", "--train", "train.txt", "--seed", "0", "--embed-dim", "4",
+             "--hidden-dim", "4", "--epochs", "1"]
+
     def _write_corpus(self, workdir):
         seqs = [["O", "B-a"], ["B-b", "O"]] * 4
         intents = ["x", "y"] * 4
@@ -242,6 +245,64 @@ class TestTrainPredict:
             "--out", "pred.txt",
         ]) == 1
         assert "ghost.json" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag,field", [
+        ("--alpha", "alpha"), ("--learning-rate", "learning_rate"), ("--w-slot", "w_slot"),
+    ])
+    def test_non_finite_hyperparameter(self, workdir, capsys, flag, field):
+        self._write_corpus(workdir)
+        assert cli.run(self.TRAIN + ["--out", "model.json", flag, "nan"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"{field} must be finite" in err
+        assert not (workdir / "model.json").exists()
+
+    def test_out_into_missing_directory(self, workdir, capsys):
+        self._write_corpus(workdir)
+        assert cli.run(self.TRAIN + ["--out", "missing/dir/model.json"]) == 0
+        assert load_model(workdir / "missing" / "dir" / "model.json").config.epochs == 1
+        assert (workdir / "missing" / "dir" / "model.json.manifest.json").exists()
+
+    def test_out_unwritable(self, workdir, capsys):
+        self._write_corpus(workdir)
+        (workdir / "blocker").write_text("a file, not a directory\n")
+        assert cli.run(self.TRAIN + ["--out", "blocker/model.json"]) == 1
+        assert "error: cannot write blocker/model.json" in capsys.readouterr().err
+
+    def test_non_utf8_input(self, workdir, capsys):
+        (workdir / "train.txt").write_bytes(b"\xff\xfe# id: u1\n")
+        assert cli.run(self.TRAIN + ["--out", "model.json"]) == 1
+        err = capsys.readouterr().err
+        assert "error: cannot read train.txt: not UTF-8" in err
+        assert "Traceback" not in err
+
+    def test_model_path_is_a_directory(self, workdir, capsys):
+        self._write_corpus(workdir)
+        (workdir / "model.json").mkdir()
+        assert cli.run([
+            "predict", "--model", "model.json", "--in", "train.txt", "--out", "pred.txt",
+        ]) == 1
+        assert "error: cannot read model.json" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("corruption,message", [
+        ("truncate", "model.json: not a JSON checkpoint"),
+        ("drop_shape", "parameter b_slot: missing field 'shape'"),
+    ])
+    def test_corrupt_checkpoint(self, workdir, capsys, corruption, message):
+        self._write_corpus(workdir)
+        assert cli.run(self.TRAIN + ["--out", "model.json"]) == 0
+        path = workdir / "model.json"
+        if corruption == "truncate":
+            path.write_bytes(path.read_bytes()[:200])
+        else:
+            payload = json.loads(path.read_text())
+            del payload["params"]["b_slot"]["shape"]
+            path.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert cli.run([
+            "predict", "--model", "model.json", "--in", "train.txt", "--out", "pred.txt",
+        ]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
 
 
 class TestAgreementCorrelate:

@@ -40,6 +40,9 @@ class TestSamplingWeights:
             sampler.sampling_weights([], 0.5)
         with pytest.raises(StructuralError, match="alpha"):
             sampler.sampling_weights([1], -0.1)
+        for alpha in (math.nan, math.inf):
+            with pytest.raises(StructuralError, match="alpha must be finite"):
+                sampler.sampling_weights([1, 2], alpha)
         with pytest.raises(StructuralError, match=">= 1"):
             sampler.sampling_weights([0], 0.5)
 

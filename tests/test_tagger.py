@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from slukit import metrics, tagger
+from slukit.corpus import Dataset, Utterance
 from slukit.errors import DivergenceError, StructuralError
 
 from support import finite_difference_worst, make_dataset, overfit_corpus, plain_sentences
@@ -113,6 +114,14 @@ class TestConfigAndParams:
         ):
             with pytest.raises(StructuralError):
                 small_config(**kw)
+
+    @pytest.mark.parametrize(
+        "field", ["learning_rate", "w_intent", "w_slot", "w_mlm", "mask_rate", "alpha"]
+    )
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_floats_rejected(self, field, value):
+        with pytest.raises(StructuralError, match=f"{field} must be finite"):
+            small_config(**{field: value})
 
     def test_init_shapes_and_ranges(self):
         config, vocab = small_config(), small_vocab()
@@ -251,6 +260,68 @@ class TestJointLoss:
         params = tagger.init_params(config, vocab)
         weights = tagger.LossWeights(intent=1.0, slot=0.7, mlm=0.3)
         assert finite_difference_worst(params, mixed_batch(), weights) < 1e-4
+
+
+def ragged_batch():
+    """Lengths 1 to 6 mixing the three tasks, with masked targets on last tokens."""
+    return [
+        tagger.Example(token_ids=(5,), intent_id=1, slot_ids=(3,)),
+        tagger.Example(token_ids=(4, 7, 6, 5, 4, 6), slot_ids=(1, 2, 0, 3, 4, 0)),
+        tagger.Example(token_ids=(6, 2, 4), mlm_targets=((1, 7), (2, 4))),
+        tagger.Example(token_ids=(7, 4, 5, 6), intent_id=0),
+        tagger.Example(token_ids=(2, 5), intent_id=1, slot_ids=(0, 1), mlm_targets=((0, 6),)),
+        tagger.Example(token_ids=(4, 5, 6, 7, 2), intent_id=0, mlm_targets=((4, 5),)),
+    ]
+
+
+class TestBatchedEngine:
+    """One padded [B, T] forward and backward serve every batch and prediction."""
+
+    def test_ragged_gradients_match_finite_differences(self):
+        params = tagger.init_params(small_config(seed=8), small_vocab())
+        weights = tagger.LossWeights(intent=0.9, slot=1.1, mlm=0.4)
+        assert finite_difference_worst(params, ragged_batch(), weights) < 1e-4
+
+    def test_batch_order_does_not_matter(self):
+        # padding must not leak between rows: permuting the examples of a
+        # batch changes nothing beyond summation-order rounding
+        params = tagger.init_params(small_config(seed=9), small_vocab())
+        weights = tagger.LossWeights(intent=1.0, slot=0.7, mlm=0.3)
+        batch = ragged_batch()
+        loss, grads = tagger.joint_loss(params, batch, weights)
+        for seed in range(5):
+            shuffled = list(batch)
+            random.Random(seed).shuffle(shuffled)
+            other_loss, other_grads = tagger.joint_loss(params, shuffled, weights)
+            assert abs(other_loss - loss) < 1e-12
+            for name in grads:
+                assert np.max(np.abs(other_grads[name] - grads[name])) < 1e-12
+
+    def test_encode_matches_row_padded_by_longer_neighbours(self):
+        # BLAS may round a one-row product differently from a batched one,
+        # so equality is up to float64 rounding rather than bitwise
+        params = tagger.init_params(small_config(seed=10), small_vocab())
+        ids = [6, 4, 7]
+        states, sent = tagger.encode(params, ids)
+        batch_states, batch_sent, _ = tagger._forward(
+            params, [[4, 5, 6, 7, 4, 5], ids, [7, 7, 6, 5, 4]]
+        )
+        assert np.allclose(batch_states[1, : len(ids)], states, rtol=0, atol=1e-12)
+        assert np.allclose(batch_sent[1], sent, rtol=0, atol=1e-12)
+
+    def test_predict_dataset_matches_per_utterance_predict(self, overfit_model, monkeypatch):
+        monkeypatch.setattr(tagger, "PREDICT_CHUNK", 4)
+        rng = random.Random(12)
+        words = list(overfit_model.vocab.tokens[4:]) + ["unseen"]
+        utts = []
+        for k in range(11):  # three chunks, lengths 1 to 7 in no order
+            tokens = tuple(rng.choice(words) for _ in range(rng.randint(1, 7)))
+            utts.append(Utterance(f"m{k}", " ".join(tokens), tokens, ("O",) * len(tokens), "x"))
+        predicted = tagger.predict_dataset(overfit_model, Dataset("mixed", tuple(utts)))
+        assert [u.id for u in predicted] == [u.id for u in utts]
+        for utt, pred in zip(utts, predicted):
+            intent, tags = tagger.predict(overfit_model, utt.tokens)
+            assert (pred.intent, list(pred.slot_tags)) == (intent, tags)
 
 
 class TestMaskTokens:
@@ -448,6 +519,25 @@ class TestCheckpoint:
         payload["params"]["b_fwd"]["data"].append(0.0)
         path.write_text(json.dumps(payload))
         with pytest.raises(StructuralError, match="b_fwd"):
+            tagger.load_model(path)
+
+    def test_truncated_checkpoint(self, tmp_path):
+        model, _ = tagger.train(overfit_corpus(), small_config(epochs=1))
+        path = tmp_path / "model.json"
+        tagger.save_model(model, path)
+        path.write_bytes(path.read_bytes()[:500])
+        with pytest.raises(StructuralError, match="model.json: not a JSON checkpoint"):
+            tagger.load_model(path)
+
+    @pytest.mark.parametrize("field", ["shape", "data"])
+    def test_tensor_field_missing(self, tmp_path, field):
+        model, _ = tagger.train(overfit_corpus(), small_config(epochs=1))
+        path = tmp_path / "model.json"
+        tagger.save_model(model, path)
+        payload = json.loads(path.read_text())
+        del payload["params"]["w_slot"][field]
+        path.write_text(json.dumps(payload))
+        with pytest.raises(StructuralError, match=f"parameter w_slot: missing field '{field}'"):
             tagger.load_model(path)
 
     def test_missing_field(self, tmp_path):
