@@ -118,7 +118,7 @@ def _cmd_evaluate(args) -> None:
 def _cmd_project(args) -> None:
     src = _load_dataset(args.src)
     alignments = projection.parse_alignments(_read_text(args.align))
-    projected = projection.project_dataset(src, alignments, threads=args.threads)
+    projected = projection.project_dataset(src, alignments)
     _write_text(_resolve_out(args.out), corpus.write_dataset(projected))
     _write_manifest(args, [args.src, args.align], args.out)
 
@@ -144,7 +144,10 @@ def _cmd_merge(args) -> None:
 
 def _cmd_schedule(args) -> None:
     names = [n for n in args.names.split(",") if n]
-    sizes = [int(s) for s in args.sizes.split(",") if s]
+    try:
+        sizes = [int(s) for s in args.sizes.split(",") if s]
+    except ValueError as err:
+        raise ToolkitError(f"--sizes: {err}") from None
     if len(names) != len(sizes):
         raise ToolkitError(f"{len(names)} names but {len(sizes)} sizes")
     tasks = [sampler.TaskSpec(name, size) for name, size in zip(names, sizes)]
@@ -189,8 +192,11 @@ def _cmd_train(args) -> None:
         batches_per_epoch=args.batches_per_epoch,
         max_mlm_sentences=args.max_mlm_sentences,
     )
-    model, log = tagger.train(data, config, mlm_sentences)
     out = _resolve_out(args.out)
+    with _writing(out):  # creates the parent, so a bad --out fails before training
+        if out.is_dir():
+            raise ToolkitError(f"cannot write {out}: is a directory")
+    model, log = tagger.train(data, config, mlm_sentences)
     with _writing(out):
         tagger.save_model(model, out)
     fmt = lambda v: "-" if v is None else f"{v:.6f}"
@@ -308,7 +314,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--src", required=True)
     p.add_argument("--align", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(handler=_cmd_project)
 
     p = sub.add_parser("homogenize", help="rename labels onto a shared schema")

@@ -243,6 +243,8 @@ def pearson(x, y) -> float:
         raise StructuralError(f"length mismatch: {len(x)} vs {len(y)}")
     if len(x) < 2:
         raise StructuralError("correlation needs at least 2 points")
+    if not all(math.isfinite(v) for v in x + y):
+        raise StructuralError("correlation needs finite values")
     mean_x = sum(x) / len(x)
     mean_y = sum(y) / len(y)
     dx = [v - mean_x for v in x]

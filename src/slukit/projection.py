@@ -9,41 +9,51 @@ are then repaired into valid BIO.
 from __future__ import annotations
 
 import json
-import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+
+import numpy as np
 
 from . import bio
 from .corpus import Dataset, Utterance
 from .errors import ParseError, StructuralError
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AlignmentRecord:
+    """One sentence pair; ``scores`` is a read-only float64 [n_src, n_tgt] array."""
+
     id: str
     src_tokens: tuple[str, ...]
     tgt_tokens: tuple[str, ...]
-    scores: tuple[tuple[float, ...], ...]
+    scores: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "src_tokens", tuple(self.src_tokens))
-        object.__setattr__(self, "tgt_tokens", tuple(self.tgt_tokens))
-        object.__setattr__(
-            self, "scores", tuple(tuple(float(v) for v in row) for row in self.scores)
-        )
-        if len(self.scores) != len(self.src_tokens):
+        for field in ("src_tokens", "tgt_tokens"):
+            tokens = getattr(self, field)
+            if not (isinstance(tokens, (list, tuple)) and all(isinstance(t, str) for t in tokens)):
+                raise StructuralError(f"record {self.id!r}: {field} must be a list of strings")
+            object.__setattr__(self, field, tuple(tokens))
+        n_src, n_tgt = len(self.src_tokens), len(self.tgt_tokens)
+        rows = list(self.scores)
+        if len(rows) != n_src:
             raise StructuralError(
-                f"record {self.id!r}: {len(self.scores)} score rows for "
-                f"{len(self.src_tokens)} source tokens"
+                f"record {self.id!r}: {len(rows)} score rows for {n_src} source tokens"
             )
-        for i, row in enumerate(self.scores):
-            if len(row) != len(self.tgt_tokens):
+        for i, row in enumerate(rows):
+            if len(row) != n_tgt:
                 raise StructuralError(
                     f"record {self.id!r}: row {i} has {len(row)} scores for "
-                    f"{len(self.tgt_tokens)} target tokens"
+                    f"{n_tgt} target tokens"
                 )
-            if not all(math.isfinite(v) for v in row):
-                raise StructuralError(f"record {self.id!r}: non-finite score in row {i}")
+        scores = np.array(rows, dtype=np.float64) if rows else np.empty((0, n_tgt))
+        if scores.ndim != 2:
+            raise StructuralError(f"record {self.id!r}: scores must be numbers")
+        finite = np.isfinite(scores).all(axis=1)
+        if not finite.all():
+            bad = int(np.argmin(finite))
+            raise StructuralError(f"record {self.id!r}: non-finite score in row {bad}")
+        scores.flags.writeable = False
+        object.__setattr__(self, "scores", scores)
 
 
 def project_labels(src_tags, rec: AlignmentRecord) -> list[str]:
@@ -71,15 +81,8 @@ def project_labels(src_tags, rec: AlignmentRecord) -> list[str]:
     if n_tgt == 0:
         return []
     raw = ["O"] * n_tgt
-    for i, tag in enumerate(src_tags):
-        if tag == "O":
-            continue
-        row = rec.scores[i]
-        best = 0
-        for j in range(1, n_tgt):
-            if row[j] > row[best]:
-                best = j
-        if raw[best] == "O":
+    for tag, best in zip(src_tags, rec.scores.argmax(axis=1).tolist()):
+        if tag != "O" and raw[best] == "O":
             raw[best] = tag
     return bio.repair(raw)
 
@@ -103,47 +106,38 @@ def parse_alignments(text: str) -> list[AlignmentRecord]:
         try:
             rec = AlignmentRecord(
                 id=str(obj["id"]),
-                src_tokens=tuple(obj["src_tokens"]),
-                tgt_tokens=tuple(obj["tgt_tokens"]),
-                scores=tuple(tuple(row) for row in obj["scores"]),
+                src_tokens=obj["src_tokens"],
+                tgt_tokens=obj["tgt_tokens"],
+                scores=obj["scores"],
             )
         except KeyError as err:
             raise ParseError(f"missing field {err}", line=lineno) from None
-        except (TypeError, ValueError) as err:
+        except (TypeError, ValueError, OverflowError) as err:
             raise ParseError(f"bad record: {err}", line=lineno) from None
         records.append(rec)
     return records
 
 
-def project_dataset(src: Dataset, alignments, threads: int = 1) -> Dataset:
+def project_dataset(src: Dataset, alignments) -> Dataset:
     """Project every utterance onto its alignment record's target side.
 
     Records are matched to utterances by id; intents are copied verbatim
     since they label the whole sentence, and the target text is the
-    space-joined target tokens. Records are independent, so with
-    threads > 1 they are processed by a pool; output order and content do
-    not depend on the thread count.
+    space-joined target tokens.
     """
-    if threads < 1:
-        raise StructuralError("threads must be >= 1")
     by_id: dict[str, AlignmentRecord] = {}
     for rec in alignments:
         if rec.id in by_id:
             raise StructuralError(f"duplicate alignment record id {rec.id!r}")
         by_id[rec.id] = rec
 
-    def one(utt: Utterance) -> Utterance:
+    projected = []
+    for utt in src:
         rec = by_id.get(utt.id)
         if rec is None:
             raise StructuralError(f"no alignment record for utterance id {utt.id!r}")
         tags = project_labels(utt.slot_tags, rec)
-        return Utterance(
-            utt.id, " ".join(rec.tgt_tokens), rec.tgt_tokens, tuple(tags), utt.intent
+        projected.append(
+            Utterance(utt.id, " ".join(rec.tgt_tokens), rec.tgt_tokens, tuple(tags), utt.intent)
         )
-
-    if threads == 1:
-        projected = [one(utt) for utt in src]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            projected = list(pool.map(one, src.utterances))
     return Dataset(f"{src.name}-projected", tuple(projected))

@@ -20,13 +20,10 @@ from .errors import StructuralError
 class TaskSpec:
     name: str
     size: int
-    loss_weight: float = 1.0
 
     def __post_init__(self):
         if self.size < 1:
             raise StructuralError(f"task {self.name!r}: size must be >= 1")
-        if self.loss_weight < 0:
-            raise StructuralError(f"task {self.name!r}: loss weight must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -53,8 +50,13 @@ def sampling_weights(sizes, alpha: float) -> list[float]:
         raise StructuralError("alpha must be >= 0")
     if any(s < 1 for s in sizes):
         raise StructuralError("task sizes must be >= 1")
-    scaled = [s ** alpha for s in sizes]
-    total = sum(scaled)
+    try:
+        scaled = [s ** alpha for s in sizes]
+        total = sum(scaled)
+    except OverflowError:  # one power out of range; a sum of finite ones can reach inf
+        total = math.inf
+    if not math.isfinite(total):
+        raise StructuralError(f"task sizes ** alpha {alpha!r} exceed the float range")
     return [v / total for v in scaled]
 
 

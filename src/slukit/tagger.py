@@ -79,6 +79,8 @@ class Vocab:
             ("slot_tags", self.slot_tags),
             ("intents", self.intents),
         ):
+            if not all(isinstance(entry, str) for entry in seq):
+                raise StructuralError(f"entries in {name} must be strings")
             if len(set(seq)) != len(seq):
                 raise StructuralError(f"duplicate entries in {name}")
         object.__setattr__(self, "_token_ids", {t: i for i, t in enumerate(self.tokens)})
@@ -390,13 +392,6 @@ class Example:
             seen.add(pos)
 
 
-@dataclass(frozen=True)
-class LossWeights:
-    intent: float = 1.0
-    slot: float = 1.0
-    mlm: float = 1.0
-
-
 def _ce_rows(logits: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Row-wise softmax cross-entropy and its unscaled logit gradients."""
     shifted = logits - logits.max(axis=1, keepdims=True)
@@ -409,10 +404,13 @@ def _ce_rows(logits: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.nd
 
 
 def joint_loss(
-    params: ModelParams, batch: Sequence[Example], weights: LossWeights
+    params: ModelParams, batch: Sequence[Example], config: TrainConfig
 ) -> tuple[float, dict[str, np.ndarray]]:
-    """Weighted multi-task loss and analytic gradients for one batch."""
-    loss, grads, emb_rows, _ = _loss_and_grads(params, batch, weights)
+    """Weighted multi-task loss and dense analytic gradients for one batch.
+
+    The task weights are config.w_intent, config.w_slot and config.w_mlm.
+    """
+    loss, grads, emb_rows, _ = _loss_and_grads(params, batch, config)
     dense = {name: np.zeros_like(arr) for name, arr in params.items()}
     for name, grad in grads.items():
         if name == "emb":
@@ -422,12 +420,13 @@ def joint_loss(
     return loss, dense
 
 
-def _loss_and_grads(params, batch, weights):
+def _loss_and_grads(params, batch, config):
     """Returns (loss, gradients, embedding rows, per-task mean CE dict).
 
-    Each present task contributes weight * mean cross-entropy, the mean
-    taken over that task's prediction units across the whole batch:
-    sequences for intents, tokens for slots, masked positions for mlm.
+    Each present task contributes its config weight (w_intent, w_slot or
+    w_mlm) times its mean cross-entropy, the mean taken over that task's
+    prediction units across the whole batch: sequences for intents,
+    tokens for slots, masked positions for mlm.
     Gradients cover only the tensors the batch touches: the encoder
     always, a head only when its task is present. Their "emb" entry holds
     just the rows listed in the embedding-rows array.
@@ -456,7 +455,7 @@ def _loss_and_grads(params, batch, weights):
         logits = feats @ params["w_intent"] + params["b_intent"]
         losses, dlogits = _ce_rows(logits, np.array([batch[b].intent_id for b in intent_rows]))
         sums["intent"] = float(losses.sum())
-        scaled = dlogits * (weights.intent / n_intent)
+        scaled = dlogits * (config.w_intent / n_intent)
         grads["w_intent"] = feats.T @ scaled
         grads["b_intent"] = scaled.sum(axis=0)
         d_sent[rows] = scaled @ params["w_intent"].T
@@ -470,7 +469,7 @@ def _loss_and_grads(params, batch, weights):
         targets = np.concatenate([batch[b].slot_ids for b in slot_rows])
         losses, dlogits = _ce_rows(logits, targets)
         sums["slot"] = float(losses.sum())
-        scaled = dlogits * (weights.slot / n_slot)
+        scaled = dlogits * (config.w_slot / n_slot)
         grads["w_slot"] = feats.T @ scaled
         grads["b_slot"] = scaled.sum(axis=0)
         d_token_states[where] += scaled @ params["w_slot"].T
@@ -481,7 +480,7 @@ def _loss_and_grads(params, batch, weights):
         logits = feats @ params["w_mlm"] + params["b_mlm"]
         losses, dlogits = _ce_rows(logits, originals)
         sums["mlm"] = float(losses.sum())
-        scaled = dlogits * (weights.mlm / n_mlm)
+        scaled = dlogits * (config.w_mlm / n_mlm)
         grads["w_mlm"] = feats.T @ scaled
         grads["b_mlm"] = scaled.sum(axis=0)
         d_token_states[mlm_rows, positions] += scaled @ params["w_mlm"].T
@@ -494,10 +493,11 @@ def _loss_and_grads(params, batch, weights):
         "slot": sums["slot"] / n_slot if n_slot else None,
         "mlm": sums["mlm"] / n_mlm if n_mlm else None,
     }
+    weights = {"intent": config.w_intent, "slot": config.w_slot, "mlm": config.w_mlm}
     loss = 0.0
-    for task, weight in (("intent", weights.intent), ("slot", weights.slot), ("mlm", weights.mlm)):
-        if parts[task] is not None:
-            loss += weight * parts[task]
+    for task, part in parts.items():
+        if part is not None:
+            loss += weights[task] * part
     return float(loss), grads, emb_rows, parts
 
 
@@ -566,7 +566,6 @@ def train(
     vocab = build_vocab([data], min_count=config.min_count, extra_sentences=sentences)
     master = random.Random(config.seed)
     params = init_params(config, vocab, rng=np.random.default_rng(master.randrange(2 ** 32)))
-    weights = LossWeights(config.w_intent, config.w_slot, config.w_mlm)
 
     slu_examples = [
         Example(
@@ -578,10 +577,10 @@ def train(
     ]
     mlm_ids = [tuple(vocab.encode_tokens(s)) for s in sentences]
 
-    tasks = [TaskSpec(SLU_TASK, len(slu_examples), config.w_slot)]
+    tasks = [TaskSpec(SLU_TASK, len(slu_examples))]
     cyclers = {SLU_TASK: InstanceCycler(len(slu_examples), master.randrange(2 ** 32))}
     if mlm_ids:
-        tasks.append(TaskSpec(MLM_TASK, len(mlm_ids), config.w_mlm))
+        tasks.append(TaskSpec(MLM_TASK, len(mlm_ids)))
         cyclers[MLM_TASK] = InstanceCycler(len(mlm_ids), master.randrange(2 ** 32))
 
     total_instances = len(slu_examples) + len(mlm_ids)
@@ -608,7 +607,7 @@ def train(
                         batch.append(Example(token_ids=tuple(corrupted), mlm_targets=targets))
                 if not batch:
                     continue  # masking selected nothing in this draw
-            loss, grads, emb_rows, parts = _loss_and_grads(params, batch, weights)
+            loss, grads, emb_rows, parts = _loss_and_grads(params, batch, config)
             if not math.isfinite(loss):
                 raise DivergenceError(epoch, batch_index)
             for name, grad in grads.items():

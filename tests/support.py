@@ -186,7 +186,7 @@ def plain_sentences(count: int = 300, seed: int = 5) -> list[tuple[str, ...]]:
 # ----------------------------------------------------- finite differences
 
 
-def finite_difference_worst(params, batch, weights) -> float:
+def finite_difference_worst(params, batch, config) -> float:
     """Worst relative error of analytic gradients vs central differences.
 
     Every entry of every tensor is perturbed by 1e-5 * max(1, |value|);
@@ -195,7 +195,7 @@ def finite_difference_worst(params, batch, weights) -> float:
     """
     from slukit.tagger import joint_loss
 
-    _, grads = joint_loss(params, batch, weights)
+    _, grads = joint_loss(params, batch, config)
     worst = 0.0
     for name, arr in params.items():
         it = np.nditer(arr, flags=["multi_index"])
@@ -204,9 +204,9 @@ def finite_difference_worst(params, batch, weights) -> float:
             saved = float(arr[idx])
             step = 1e-5 * max(1.0, abs(saved))
             arr[idx] = saved + step
-            up, _ = joint_loss(params, batch, weights)
+            up, _ = joint_loss(params, batch, config)
             arr[idx] = saved - step
-            down, _ = joint_loss(params, batch, weights)
+            down, _ = joint_loss(params, batch, config)
             arr[idx] = saved
             numeric = (up - down) / (2 * step)
             analytic = float(grads[name][idx])

@@ -185,14 +185,14 @@ def test_tagger_gradients_losses_overfit_and_auxiliary():
         tagger.Example(token_ids=(5, 6, 7, 4), intent_id=1, slot_ids=(3, 4, 0, 1)),
         tagger.Example(token_ids=(6, 4), mlm_targets=((0, 5), (1, 7))),
     ]
-    weights = tagger.LossWeights(intent=1.0, slot=0.7, mlm=0.3)
+    weights = tagger.TrainConfig(w_intent=1.0, w_slot=0.7, w_mlm=0.3)
     worst = finite_difference_worst(params, batch, weights)
     assert worst < 1e-4, f"worst relative gradient error {worst:.2e}"
 
     zeroed = tagger.init_params(config, vocab)
     for arr in zeroed.values():
         arr[:] = 0.0
-    unit = tagger.LossWeights()
+    unit = tagger.TrainConfig(w_mlm=1.0)
     loss, _ = tagger.joint_loss(
         zeroed, [tagger.Example(token_ids=(4,), intent_id=0)], unit
     )

@@ -6,8 +6,10 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from slukit import cli, corpus, homogenize
+from slukit import cli, corpus, homogenize, tagger
 from slukit.tagger import load_model
 
 from support import make_dataset
@@ -121,14 +123,12 @@ class TestProject:
         (workdir / "align.jsonl").write_text(json.dumps(record) + "\n")
         code = cli.run([
             "project", "--src", "src.txt", "--align", "align.jsonl",
-            "--out", "tgt.txt", "--threads", "2",
+            "--out", "tgt.txt",
         ])
         assert code == 0
         ds = corpus.parse_dataset((workdir / "tgt.txt").read_text())
         assert ds.utterances[0].tokens == ("weck", "mich", "um", "acht")
         assert ds.utterances[0].slot_tags == ("O", "O", "B-datetime", "I-datetime")
-        manifest = _manifest(workdir / "tgt.txt.manifest.json")
-        assert manifest["config"]["threads"] == 2
 
 
 class TestHomogenizeMerge:
@@ -187,6 +187,19 @@ class TestSchedule:
             "--batches", "1", "--seed", "0",
         ]) == 1
         assert "2 names but 1 sizes" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("sizes,alpha,message", [
+        ("1,x", "0.5", "--sizes: invalid literal for int()"),
+        ("99999999999999999999", "100", "exceed the float range"),
+    ])
+    def test_bad_sizes(self, workdir, capsys, sizes, alpha, message):
+        names = ",".join(f"t{k}" for k in range(len(sizes.split(","))))
+        assert cli.run([
+            "schedule", "--names", names, "--sizes", sizes,
+            "--batches", "1", "--alpha", alpha, "--seed", "0",
+        ]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
 
 
 class TestTrainPredict:
@@ -262,11 +275,19 @@ class TestTrainPredict:
         assert load_model(workdir / "missing" / "dir" / "model.json").config.epochs == 1
         assert (workdir / "missing" / "dir" / "model.json.manifest.json").exists()
 
-    def test_out_unwritable(self, workdir, capsys):
+    def test_out_unwritable(self, workdir, capsys, monkeypatch):
         self._write_corpus(workdir)
         (workdir / "blocker").write_text("a file, not a directory\n")
+        (workdir / "a_dir").mkdir()
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("trained before checking --out")
+
+        monkeypatch.setattr(tagger, "train", no_training)
         assert cli.run(self.TRAIN + ["--out", "blocker/model.json"]) == 1
         assert "error: cannot write blocker/model.json" in capsys.readouterr().err
+        assert cli.run(self.TRAIN + ["--out", "a_dir"]) == 1
+        assert "error: cannot write a_dir: is a directory" in capsys.readouterr().err
 
     def test_non_utf8_input(self, workdir, capsys):
         (workdir / "train.txt").write_bytes(b"\xff\xfe# id: u1\n")
@@ -341,6 +362,13 @@ class TestAgreementCorrelate:
         ]) == 1
         assert "no column 'zzz'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_correlate_non_finite(self, workdir, capsys, bad):
+        (workdir / "scores.csv").write_text(f"a,b\n1,2\n2,3\n{bad},4\n")
+        assert cli.run(["correlate", "--scores", "scores.csv", "--x", "a", "--y", "b"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "finite" in err
+
 
 class TestSignificance:
     def test_table_output(self, workdir, capsys):
@@ -370,6 +398,114 @@ class TestSignificance:
             "significance", "--scores", "scores.csv", "--baseline", "base",
             "--seed", "0", "--metric", "f1",
         ]) == 0
+
+
+ALIGN = json.dumps({
+    "id": "u1",
+    "src_tokens": ["wake", "me", "at", "eight"],
+    "tgt_tokens": ["weck", "mich", "um", "acht"],
+    "scores": [[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0],
+               [0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.5, 0.5]],
+}) + "\n"
+
+# Valid inputs that the fuzz test garbles; "model.json" is written by the
+# fuzz_inputs fixture.
+FUZZ_SEEDS = {
+    "clean.txt": CLEAN,
+    "align.jsonl": ALIGN,
+    "map.txt": "[slots]\ndatetime\ttime\n[intents]\nalarm/set\talarm\n",
+    "table.csv": "item,yes,no\ni1,3,0\ni2,2,1\n",
+    "pairs.csv": "run,kappa,f1\na,1,1\nb,2,2\nc,3,4\n",
+    "scores.csv": SCORES_CSV,
+}
+
+# Each case reads one garbled file, "F", seeded from the named valid file;
+# the other arguments stay valid.
+FUZZ_CASES = [
+    ("clean.txt", ["validate", "--in", "F"]),
+    ("clean.txt", ["evaluate", "--gold", "F", "--pred", "clean.txt"]),
+    ("clean.txt", ["evaluate", "--gold", "clean.txt", "--pred", "F"]),
+    ("clean.txt", ["project", "--src", "F", "--align", "align.jsonl", "--out", "o.txt"]),
+    ("align.jsonl", ["project", "--src", "clean.txt", "--align", "F", "--out", "o.txt"]),
+    ("clean.txt", ["homogenize", "--in", "F", "--map", "map.txt", "--out", "o.txt"]),
+    ("map.txt", ["homogenize", "--in", "clean.txt", "--map", "F", "--out", "o.txt"]),
+    ("table.csv", ["agreement", "--table", "F"]),
+    ("pairs.csv", ["correlate", "--scores", "F", "--x", "kappa", "--y", "f1"]),
+    ("scores.csv", ["significance", "--scores", "F", "--baseline", "base",
+                    "--seed", "0", "--boot", "5"]),
+    ("model.json", ["predict", "--model", "F", "--in", "clean.txt", "--out", "o.txt"]),
+    ("clean.txt", ["predict", "--model", "model.json", "--in", "F", "--out", "o.txt"]),
+]
+
+FUZZ_TOKENS = [b"\n", b"\t", b",", b" ", b"-", b"#", b'"', b"[", b"]", b"{", b"}", b":",
+               b"nan", b"inf", b"1e999", b"null", b"-1", b"0", b"B-", b"I-", b"\xff"]
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                               max_size=3),
+    max_leaves=4,
+)
+
+
+def _swap_json_node(draw, value):
+    """Replace one node of a parsed JSON document, picked by a random descent."""
+    if not isinstance(value, (dict, list)) or not value or draw(st.integers(0, 2)) == 0:
+        return draw(JSON_VALUES)
+    key = draw(st.sampled_from(sorted(value) if isinstance(value, dict) else range(len(value))))
+    value[key] = _swap_json_node(draw, value[key])
+    return value
+
+
+@st.composite
+def garbled(draw, valid: bytes) -> bytes:
+    """Arbitrary bytes, a JSON line with one value swapped, or a file with byte edits."""
+    kind = draw(st.integers(0, 3))
+    if kind == 0:
+        return draw(st.binary(max_size=64) | st.text(max_size=64).map(str.encode))
+    if kind == 1 and valid.startswith(b"{"):
+        return (json.dumps(_swap_json_node(draw, json.loads(valid))) + "\n").encode()
+    data = bytearray(valid)
+    for _ in range(draw(st.integers(1, 4))):
+        pos = draw(st.integers(0, len(data)))
+        cut = draw(st.integers(0, 6))
+        data[pos : pos + cut] = draw(st.sampled_from(FUZZ_TOKENS) | st.binary(max_size=3))
+    if draw(st.integers(0, 4)) == 0:
+        del data[draw(st.integers(0, len(data))):]
+    return bytes(data)
+
+
+@pytest.fixture
+def fuzz_inputs(workdir):
+    for name, text in FUZZ_SEEDS.items():
+        (workdir / name).write_text(text)
+    ds = corpus.parse_dataset(CLEAN + "\n" + DIRTY.replace("I-loc", "B-loc"))
+    config = tagger.TrainConfig(embed_dim=2, hidden_dim=2, epochs=1)
+    tagger.save_model(tagger.train(ds, config)[0], workdir / "model.json")
+    return workdir
+
+
+class TestFuzz:
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_garbled_input_exits_cleanly(self, fuzz_inputs, data):
+        """Garbled files and list flags end in exit 0, 1 or 2, never an exception."""
+        if data.draw(st.integers(0, 5)) == 0:
+            flags = st.text(max_size=20)
+            argv = ["schedule", "--names", data.draw(flags), "--sizes", data.draw(flags),
+                    "--batches", "3", "--alpha", data.draw(st.sampled_from(["0.5", "60"])),
+                    "--seed", "0"]
+        else:
+            source, argv = data.draw(st.sampled_from(FUZZ_CASES))
+            valid = (fuzz_inputs / source).read_bytes()
+            (fuzz_inputs / "F").write_bytes(data.draw(garbled(valid)))
+        try:
+            code = cli.run(argv)
+        except SystemExit as err:  # argparse usage errors
+            code = err.code
+        assert code in (0, 1, 2)
 
 
 class TestOutDirRedirect:

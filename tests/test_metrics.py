@@ -228,6 +228,13 @@ class TestPearson:
         with pytest.raises(StructuralError, match="zero-variance"):
             metrics.pearson((1, 1, 1), (1, 2, 3))
 
+    def test_non_finite_rejected(self):
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(StructuralError, match="finite"):
+                metrics.pearson((1.0, 2.0, bad), (1.0, 2.0, 3.0))
+            with pytest.raises(StructuralError, match="finite"):
+                metrics.pearson((1.0, 2.0, 3.0), (bad, 2.0, 3.0))
+
 
 class TestReportRendering:
     def _report(self):

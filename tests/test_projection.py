@@ -4,6 +4,7 @@ import json
 import math
 import random
 
+import numpy as np
 import pytest
 
 from slukit import bio, corpus, projection
@@ -50,7 +51,22 @@ class TestAlignmentRecord:
 
     def test_scores_coerced_to_float(self):
         rec = _record([[1, 2]])
-        assert rec.scores == ((1.0, 2.0),)
+        assert rec.scores.dtype == np.float64
+        assert rec.scores.tolist() == [[1.0, 2.0]]
+
+    def test_scores_read_only(self):
+        rec = _record([[1.0, 2.0]])
+        with pytest.raises(ValueError):
+            rec.scores[0, 0] = 5.0
+
+    def test_empty_sides_keep_matrix_shape(self):
+        assert projection.AlignmentRecord("r", (), ("x", "y"), ()).scores.shape == (0, 2)
+        assert projection.AlignmentRecord("r", ("a",), (), ((),)).scores.shape == (1, 0)
+
+    def test_tokens_must_be_strings(self):
+        for src in ("ab", ("a", None), ("a", 3), None):
+            with pytest.raises(StructuralError, match="record 'bad': src_tokens must be"):
+                projection.AlignmentRecord("bad", src, ("x",), ((1.0,), (2.0,)))
 
 
 class TestProjectLabels:
@@ -114,6 +130,23 @@ class TestProjectLabels:
             assert len(out) == n_tgt
             assert bio.is_valid(out)
 
+    def test_matches_loop_reference(self):
+        # scores drawn from a few values, so most rows hold tied maxima
+        rng = random.Random(36)
+        for _ in range(500):
+            n_src, n_tgt = rng.randint(1, 7), rng.randint(1, 7)
+            tags = random_valid_tags(rng, n_src)
+            scores = [[rng.choice((0.0, 0.5, 1.0)) for _ in range(n_tgt)] for _ in range(n_src)]
+            raw = ["O"] * n_tgt
+            for tag, row in zip(tags, scores):
+                best = 0
+                for j in range(1, n_tgt):
+                    if row[j] > row[best]:
+                        best = j
+                if tag != "O" and raw[best] == "O":
+                    raw[best] = tag
+            assert projection.project_labels(tags, _record(scores)) == bio.repair(raw)
+
     def test_length_mismatch(self):
         with pytest.raises(StructuralError, match="2 tags"):
             projection.project_labels(["O", "O"], _record([[1.0]]))
@@ -132,7 +165,7 @@ class TestParseAlignments:
         records = projection.parse_alignments(line + "\n")
         assert len(records) == 1
         assert records[0].id == "r1"
-        assert records[0].scores == ((0.5, 0.5),)
+        assert records[0].scores.tolist() == [[0.5, 0.5]]
 
     def test_empty_stream(self):
         assert projection.parse_alignments("") == []
@@ -152,6 +185,25 @@ class TestParseAlignments:
              "scores": [[0.5]]}
         )
         with pytest.raises(StructuralError, match="r9"):
+            projection.parse_alignments(line)
+
+    @pytest.mark.parametrize("field,value", [
+        ("src_tokens", ["a", None]),
+        ("tgt_tokens", [None]),
+        ("src_tokens", "a"),
+        ("tgt_tokens", "x"),
+        ("tgt_tokens", {"x": 1}),
+    ])
+    def test_tokens_must_be_lists_of_strings(self, field, value):
+        record = {"id": "r7", "src_tokens": ["a"], "tgt_tokens": ["x"], "scores": [[0.5]]}
+        record[field] = value
+        with pytest.raises(StructuralError, match=f"record 'r7': {field} must be a list"):
+            projection.parse_alignments(json.dumps(record))
+
+    @pytest.mark.parametrize("scores", [[["x"]], [[[0.5]]], [[1e999]], [[10 ** 400]], [5]])
+    def test_bad_score_values(self, scores):
+        line = json.dumps({"id": "r8", "src_tokens": ["a"], "tgt_tokens": ["x"], "scores": scores})
+        with pytest.raises((ParseError, StructuralError), match="line 1|r8"):
             projection.parse_alignments(line)
 
 
@@ -188,13 +240,6 @@ class TestProjectDataset:
             assert bio.is_valid(utt.slot_tags)
         assert corpus.validate(out) == []
 
-    def test_thread_count_does_not_change_output(self):
-        rng = random.Random(35)
-        src, records = self._setup(rng, count=40)
-        base = projection.project_dataset(src, records, threads=1)
-        for threads in (2, 4):
-            assert projection.project_dataset(src, records, threads=threads) == base
-
     def test_missing_record(self):
         src = make_dataset([["O"]])
         with pytest.raises(StructuralError, match="no alignment record.*'u0'"):
@@ -205,8 +250,3 @@ class TestProjectDataset:
         rec = projection.AlignmentRecord("u0", ("s0",), ("t0",), ((0.5,),))
         with pytest.raises(StructuralError, match="duplicate"):
             projection.project_dataset(src, [rec, rec])
-
-    def test_bad_thread_count(self):
-        src = make_dataset([["O"]])
-        with pytest.raises(StructuralError, match="threads"):
-            projection.project_dataset(src, [], threads=0)

@@ -45,14 +45,16 @@ class TestSamplingWeights:
                 sampler.sampling_weights([1, 2], alpha)
         with pytest.raises(StructuralError, match=">= 1"):
             sampler.sampling_weights([0], 0.5)
+        # int ** float overflows, and so does a sum of finite powers
+        for sizes, alpha in (([10 ** 20], 100.0), ([10 ** 400], 1.0), ([10 ** 308] * 2, 1.0)):
+            with pytest.raises(StructuralError, match="exceed the float range"):
+                sampler.sampling_weights(sizes, alpha)
 
 
 class TestTaskSpec:
     def test_validation(self):
         with pytest.raises(StructuralError, match="size"):
             sampler.TaskSpec("a", 0)
-        with pytest.raises(StructuralError, match="loss weight"):
-            sampler.TaskSpec("a", 1, loss_weight=-1.0)
 
 
 class TestScheduleEpoch:

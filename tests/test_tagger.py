@@ -47,6 +47,16 @@ class TestVocab:
                 tagger.RESERVED_TOKENS + ("a", "a"), ("O",), ("x",)
             )
 
+    def test_non_string_entries_rejected(self):
+        # a checkpoint's vocab may hold any JSON value
+        for tokens, tags, intents, name in (
+            (tagger.RESERVED_TOKENS + (7,), ("O",), ("x",), "tokens"),
+            (tagger.RESERVED_TOKENS, ("O", None), ("x",), "slot_tags"),
+            (tagger.RESERVED_TOKENS, ("O",), (None,), "intents"),
+        ):
+            with pytest.raises(StructuralError, match=f"entries in {name} must be strings"):
+                tagger.Vocab(tokens, tags, intents)
+
     def test_unknown_token_falls_back(self):
         vocab = small_vocab()
         assert vocab.token_id("alpha") == 4
@@ -213,20 +223,20 @@ class TestJointLoss:
     def test_empty_batch(self):
         params = tagger.init_params(small_config(), small_vocab())
         with pytest.raises(StructuralError, match="empty batch"):
-            tagger.joint_loss(params, [], tagger.LossWeights())
+            tagger.joint_loss(params, [], tagger.TrainConfig(w_mlm=1.0))
 
     def test_unlabelled_batch(self):
         params = tagger.init_params(small_config(), small_vocab())
         batch = [tagger.Example(token_ids=(4, 5))]
         with pytest.raises(StructuralError, match="no task labels"):
-            tagger.joint_loss(params, batch, tagger.LossWeights())
+            tagger.joint_loss(params, batch, tagger.TrainConfig(w_mlm=1.0))
 
     def test_uniform_softmax_loss_is_log_k(self):
         config, vocab = small_config(), small_vocab()
         params = tagger.init_params(config, vocab)
         for arr in params.values():
             arr[:] = 0.0
-        weights = tagger.LossWeights()
+        weights = tagger.TrainConfig(w_mlm=1.0)
         intent_only = [tagger.Example(token_ids=(4, 5), intent_id=1)]
         loss, _ = tagger.joint_loss(params, intent_only, weights)
         assert abs(loss - math.log(2)) < 1e-12
@@ -240,8 +250,12 @@ class TestJointLoss:
     def test_task_weights_scale_linearly(self):
         params = tagger.init_params(small_config(seed=5), small_vocab())
         batch = [tagger.Example(token_ids=(4, 5, 6), intent_id=0)]
-        base, base_grads = tagger.joint_loss(params, batch, tagger.LossWeights(intent=1.0))
-        double, double_grads = tagger.joint_loss(params, batch, tagger.LossWeights(intent=2.0))
+        base, base_grads = tagger.joint_loss(
+            params, batch, tagger.TrainConfig(w_intent=1.0, w_mlm=1.0)
+        )
+        double, double_grads = tagger.joint_loss(
+            params, batch, tagger.TrainConfig(w_intent=2.0, w_mlm=1.0)
+        )
         assert math.isclose(double, 2 * base, rel_tol=1e-12)
         assert np.allclose(double_grads["w_intent"], 2 * base_grads["w_intent"])
 
@@ -249,7 +263,7 @@ class TestJointLoss:
         # slot loss averages over tokens pooled across the batch: two
         # copies of one sequence give the same mean as one copy
         params = tagger.init_params(small_config(seed=6), small_vocab())
-        weights = tagger.LossWeights()
+        weights = tagger.TrainConfig(w_mlm=1.0)
         one = [tagger.Example(token_ids=(4, 5, 6), slot_ids=(0, 1, 2))]
         loss_one, _ = tagger.joint_loss(params, one, weights)
         loss_two, _ = tagger.joint_loss(params, one * 2, weights)
@@ -258,7 +272,7 @@ class TestJointLoss:
     def test_gradients_match_finite_differences(self):
         config, vocab = small_config(seed=7), small_vocab()
         params = tagger.init_params(config, vocab)
-        weights = tagger.LossWeights(intent=1.0, slot=0.7, mlm=0.3)
+        weights = tagger.TrainConfig(w_intent=1.0, w_slot=0.7, w_mlm=0.3)
         assert finite_difference_worst(params, mixed_batch(), weights) < 1e-4
 
 
@@ -279,14 +293,14 @@ class TestBatchedEngine:
 
     def test_ragged_gradients_match_finite_differences(self):
         params = tagger.init_params(small_config(seed=8), small_vocab())
-        weights = tagger.LossWeights(intent=0.9, slot=1.1, mlm=0.4)
+        weights = tagger.TrainConfig(w_intent=0.9, w_slot=1.1, w_mlm=0.4)
         assert finite_difference_worst(params, ragged_batch(), weights) < 1e-4
 
     def test_batch_order_does_not_matter(self):
         # padding must not leak between rows: permuting the examples of a
         # batch changes nothing beyond summation-order rounding
         params = tagger.init_params(small_config(seed=9), small_vocab())
-        weights = tagger.LossWeights(intent=1.0, slot=0.7, mlm=0.3)
+        weights = tagger.TrainConfig(w_intent=1.0, w_slot=0.7, w_mlm=0.3)
         batch = ragged_batch()
         loss, grads = tagger.joint_loss(params, batch, weights)
         for seed in range(5):
