@@ -16,7 +16,7 @@ import io
 import json
 import os
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from pathlib import Path
 
 from . import __version__, corpus, homogenize, metrics, projection, sampler, significance, tagger
@@ -44,17 +44,29 @@ def _read_text(path: str) -> str:
 
 @contextmanager
 def _writing(path: Path):
-    """Create the parent directory of an output and report OS failures as errors."""
+    """Yield a temporary sibling of ``path`` to write; on success it replaces ``path``.
+
+    The parent directory is created first. The temporary file is renamed
+    onto ``path`` with ``os.replace`` only once the block finishes, so a
+    write that fails part-way leaves any previous file untouched, and
+    the temporary file is removed on any failure. OS failures are
+    reported as ``cannot write PATH``.
+    """
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")  # per process: runs never share one
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
-        yield
+        yield tmp
+        os.replace(tmp, path)
     except OSError as err:
         raise ToolkitError(f"cannot write {path}: {err.strerror or err}") from None
+    finally:
+        with suppress(OSError):
+            tmp.unlink(missing_ok=True)
 
 
 def _write_text(path: Path, text: str) -> None:
-    with _writing(path):
-        path.write_text(text, encoding="utf-8")
+    with _writing(path) as tmp:
+        tmp.write_text(text, encoding="utf-8")
 
 
 def _digest(path: str) -> str:
@@ -193,12 +205,11 @@ def _cmd_train(args) -> None:
         max_mlm_sentences=args.max_mlm_sentences,
     )
     out = _resolve_out(args.out)
-    with _writing(out):  # creates the parent, so a bad --out fails before training
+    with _writing(out) as tmp:  # the parent is made on entry, so a bad --out fails before training
         if out.is_dir():
             raise ToolkitError(f"cannot write {out}: is a directory")
-    model, log = tagger.train(data, config, mlm_sentences)
-    with _writing(out):
-        tagger.save_model(model, out)
+        model, log = tagger.train(data, config, mlm_sentences)
+        tagger.save_model(model, tmp)
     fmt = lambda v: "-" if v is None else f"{v:.6f}"
     for entry in log:
         print(

@@ -236,6 +236,17 @@ def fleiss_kappa(table: AgreementTable) -> float:
     return (p_bar - p_exp) / (1 - p_exp)
 
 
+def _unit_scaled(values: list[float]) -> list[float]:
+    """Values times the power of two that brings the largest magnitude into [0.5, 1).
+
+    Pearson r does not depend on scale, and a power-of-two factor is
+    exact, so neither the sums nor the squares can overflow or underflow
+    while ordinary inputs keep the bits of the unscaled arithmetic.
+    """
+    _, exponent = math.frexp(max(abs(v) for v in values))
+    return [math.ldexp(v, -exponent) for v in values]
+
+
 def pearson(x, y) -> float:
     """Sample Pearson correlation; needs two or more points and spread in both."""
     x, y = list(x), list(y)
@@ -245,6 +256,7 @@ def pearson(x, y) -> float:
         raise StructuralError("correlation needs at least 2 points")
     if not all(math.isfinite(v) for v in x + y):
         raise StructuralError("correlation needs finite values")
+    x, y = _unit_scaled(x), _unit_scaled(y)
     mean_x = sum(x) / len(x)
     mean_y = sum(y) / len(y)
     dx = [v - mean_x for v in x]

@@ -2,19 +2,24 @@
 
 The oracles here are deliberately written against the definitions rather
 than the package internals (quadratic span enumeration, midpoint grid
-integration), so agreement with the package is evidence, not tautology.
+integration, a Fraction breakpoint walk), so agreement with the package
+is evidence, not tautology.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import random
+from fractions import Fraction
 from pathlib import Path
+from statistics import NormalDist
 
 import numpy as np
 
 import slukit
 from slukit.corpus import Dataset, Utterance
+from slukit.significance import AsoResult
 
 LABELS = ("loc", "datetime", "device", "song")
 
@@ -145,6 +150,56 @@ def grid_epsilon(a_values, b_values, points: int = 1_000_000) -> float:
         return 0.5
     num = float(np.mean(np.where(d > 0, d * d, 0.0)))
     return num / den
+
+
+# --------------------------------------------------------------- ASO oracle
+
+
+def walk_masses(av, bv) -> tuple[float, float]:
+    """Violation and total mass of two sorted samples, one breakpoint at a time.
+
+    The merged breakpoints i/n and j/m and each segment's midpoint are
+    exact Fractions; both step values are read at the midpoint, and the
+    masses width * diff**2 are summed sequentially in Python floats.
+    """
+    n, m = len(av), len(bv)
+    breaks = sorted(
+        {Fraction(i, n) for i in range(1, n + 1)} | {Fraction(j, m) for j in range(1, m + 1)}
+    )
+    prev = Fraction(0)
+    violation = total = 0.0
+    for point in breaks:
+        mid = (prev + point) / 2
+        diff = bv[math.ceil(mid * m) - 1] - av[math.ceil(mid * n) - 1]
+        mass = float(point - prev) * diff * diff
+        total += mass
+        if diff > 0:
+            violation += mass
+        prev = point
+    return violation, total
+
+
+def walk_epsilon(a_values, b_values) -> float:
+    violation, total = walk_masses(sorted(a_values), sorted(b_values))
+    return 0.5 if total == 0.0 else violation / total
+
+
+def walk_aso(a_values, b_values, alpha=0.05, n_boot=1000, seed=0, threshold=0.5) -> AsoResult:
+    """The ASO test replicate by replicate: per replicate, draw n indices into a, then m into b."""
+    violation, total = walk_masses(sorted(a_values), sorted(b_values))
+    if total == 0.0:
+        return AsoResult(0.5, 0.0, 0.5, alpha, 0.5 < threshold)
+    eps_hat = violation / total
+    rng = np.random.default_rng(seed)
+    av, bv = np.asarray(a_values, dtype=float), np.asarray(b_values, dtype=float)
+    boots = []
+    for _ in range(n_boot):
+        ra = av[rng.integers(0, av.size, av.size)].tolist()
+        rb = bv[rng.integers(0, bv.size, bv.size)].tolist()
+        boots.append(walk_epsilon(ra, rb))
+    sigma = float(np.std(boots))
+    eps_min = eps_hat - sigma * NormalDist().inv_cdf(1 - alpha)
+    return AsoResult(eps_hat, sigma, eps_min, alpha, eps_min < threshold)
 
 
 # ------------------------------------------------------------- toy corpora

@@ -1,9 +1,12 @@
 """Command line interface: subcommands, manifests, exit codes."""
 
+import errno
 import json
+import os
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -12,7 +15,7 @@ from hypothesis import strategies as st
 from slukit import cli, corpus, homogenize, tagger
 from slukit.tagger import load_model
 
-from support import make_dataset
+from support import make_dataset, package_env
 
 CLEAN = (
     "# id: u1\n"
@@ -48,6 +51,10 @@ def workdir(tmp_path, monkeypatch):
 
 def _manifest(path):
     return json.loads(path.read_text())
+
+
+def _disk_full():
+    return OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
 
 
 class TestValidate:
@@ -104,6 +111,24 @@ class TestEvaluate:
         (workdir / "pred.txt").write_text(DIRTY)
         assert cli.run(["evaluate", "--gold", "gold.txt", "--pred", "pred.txt"]) == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_failed_write_keeps_previous_output(self, workdir, capsys, monkeypatch):
+        (workdir / "gold.txt").write_text(CLEAN)
+        (workdir / "report.txt").write_text("previous report\n")
+        listing = sorted(os.listdir(workdir))
+
+        def half_then_fail(path, text, encoding=None, errors=None, newline=None):
+            with open(path, "w", encoding=encoding) as handle:
+                handle.write(text[: len(text) // 2])
+            raise _disk_full()
+
+        monkeypatch.setattr(Path, "write_text", half_then_fail)
+        assert cli.run([
+            "evaluate", "--gold", "gold.txt", "--pred", "gold.txt", "--out", "report.txt",
+        ]) == 1
+        assert "error: cannot write report.txt: No space left on device" in capsys.readouterr().err
+        assert (workdir / "report.txt").read_bytes() == b"previous report\n"
+        assert sorted(os.listdir(workdir)) == listing
 
 
 class TestProject:
@@ -288,6 +313,27 @@ class TestTrainPredict:
         assert "error: cannot write blocker/model.json" in capsys.readouterr().err
         assert cli.run(self.TRAIN + ["--out", "a_dir"]) == 1
         assert "error: cannot write a_dir: is a directory" in capsys.readouterr().err
+
+    def test_failed_save_keeps_previous_checkpoint(self, workdir, capsys, monkeypatch):
+        self._write_corpus(workdir)
+        argv = self.TRAIN + ["--out", "model.json"]
+        assert cli.run(argv) == 0
+        previous = (workdir / "model.json").read_bytes()
+        listing = sorted(os.listdir(workdir))
+        save_model = tagger.save_model
+
+        def half_then_fail(model, path):
+            save_model(model, path)
+            data = Path(path).read_bytes()
+            Path(path).write_bytes(data[: len(data) // 2])
+            raise _disk_full()
+
+        monkeypatch.setattr(tagger, "save_model", half_then_fail)
+        capsys.readouterr()
+        assert cli.run(argv) == 1
+        assert "error: cannot write model.json: No space left on device" in capsys.readouterr().err
+        assert (workdir / "model.json").read_bytes() == previous
+        assert sorted(os.listdir(workdir)) == listing
 
     def test_non_utf8_input(self, workdir, capsys):
         (workdir / "train.txt").write_bytes(b"\xff\xfe# id: u1\n")
@@ -538,7 +584,7 @@ class TestEntryPoints:
     def test_module_execution(self):
         result = subprocess.run(
             [sys.executable, "-m", "slukit", "--version"],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=package_env(),
         )
         assert result.returncode == 0
         assert result.stdout.strip().startswith("slukit ")

@@ -216,6 +216,16 @@ class TestPearson:
         assert metrics.pearson((1, 2, 3), (2, 4, 6)) == 1.0
         assert metrics.pearson((1, 2, 3), (3, 2, 1)) == -1.0
 
+    @pytest.mark.parametrize("x, y, expected", [
+        ([1e200, 2e200, 3e200], [1, 2, 4], 0.9819805060619657),
+        ([1e160, 2e160, 3e160], [1e160, 2e160, 4e160], 0.9819805060619657),
+        ([1e-200, 2e-200, 3e-200], [1, 2, 4], 0.9819805060619657),
+        ([1e308, 1e308, -1e308], [1, 2, 3], -math.sqrt(0.75)),
+    ])
+    def test_extreme_magnitudes(self, x, y, expected):
+        # unscaled, these sums or squared deviations overflow or underflow
+        assert abs(metrics.pearson(x, y) - expected) < 1e-12
+
     def test_length_mismatch(self):
         with pytest.raises(StructuralError, match="mismatch"):
             metrics.pearson((1, 2), (1, 2, 3))

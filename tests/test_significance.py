@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from slukit import significance
 from slukit.errors import ParseError, StructuralError
 
-from support import grid_epsilon
+from support import grid_epsilon, walk_aso, walk_epsilon
 
 finite_floats = st.floats(
     min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False
@@ -192,6 +192,57 @@ class TestAso:
             significance.aso(a, b, alpha=0.0)
         with pytest.raises(StructuralError, match="n_boot"):
             significance.aso(a, b, n_boot=0)
+
+
+class TestAsoOracle:
+    """Exact equality with the breakpoint-walk oracle in tests/support.py."""
+
+    CASES = {
+        "coprime 5 vs 3": ([0.61, 0.48, 0.55, 0.70, 0.52], [0.50, 0.58, 0.47]),
+        "coprime 7 vs 4": (
+            [0.3, -1.2, 0.8, 2.1, -0.4, 0.05, 1.3], [0.9, -0.7, 0.2, 1.6],
+        ),
+        "lcm 12 vs max 6": ([1.5, 0.2, 0.9, 1.1, 0.4, 0.7], [0.8, 0.1, 1.2, 0.6]),
+        "ties": ([1.0, 2.0, 2.0, 1.0, 3.0, 2.0], [2.0, 1.0, 1.0, 2.0, 2.0]),
+    }
+
+    @pytest.mark.parametrize("name", CASES)
+    @pytest.mark.parametrize(
+        "n_boot", [1, significance.BOOT_BLOCK, significance.BOOT_BLOCK + 1]
+    )
+    def test_aso_equals_walk(self, name, n_boot):
+        a, b = self.CASES[name]
+        result = significance.aso(_sample(a), _sample(b), alpha=0.02, n_boot=n_boot, seed=17)
+        assert result == walk_aso(a, b, alpha=0.02, n_boot=n_boot, seed=17)
+        assert significance.epsilon_w2(_sample(a), _sample(b)) == walk_epsilon(a, b)
+
+    def test_random_cases_equal_walk(self):
+        rng = random.Random(57)
+        for _ in range(40):
+            a = [round(rng.gauss(0, 1), rng.choice((0, 1, 6))) for _ in range(rng.randint(2, 12))]
+            b = [round(rng.gauss(0.2, 1), rng.choice((0, 1, 6))) for _ in range(rng.randint(2, 12))]
+            assert significance.epsilon_w2(_sample(a), _sample(b)) == walk_epsilon(a, b)
+            assert significance.aso(_sample(a), _sample(b), n_boot=20, seed=5) == walk_aso(
+                a, b, n_boot=20, seed=5
+            )
+
+    def test_same_distribution_different_sizes_is_degenerate(self):
+        result = significance.aso(_sample([1, 2]), _sample([1, 1, 2, 2]), seed=6)
+        assert result == significance.AsoResult(0.5, 0.0, 0.5, 0.05, False)
+        assert result == walk_aso([1, 2], [1, 1, 2, 2], seed=6)
+
+    def test_acceptance_case_pinned(self):
+        five = [0.52, 0.55, 0.49, 0.61, 0.58]
+        other = [0.50, 0.56, 0.47, 0.52, 0.54]
+        result = significance.aso(_sample(five), _sample(other), n_boot=1000, seed=3)
+        assert result == significance.AsoResult(
+            float.fromhex("0x0.0p+0"),
+            float.fromhex("0x1.e6d66def4dda1p-3"),
+            float.fromhex("-0x1.9063682d405c2p-2"),
+            0.05,
+            True,
+        )
+        assert result == walk_aso(five, other, n_boot=1000, seed=3)
 
 
 class TestCompareTable:
