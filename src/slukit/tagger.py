@@ -25,6 +25,7 @@ property this implementation exists for.
 
 from __future__ import annotations
 
+import base64
 import json
 import math
 import random
@@ -49,7 +50,9 @@ PAD_ID, UNK_ID, MASK_ID, CLS_ID = range(4)
 SLU_TASK = "slu"
 MLM_TASK = "mlm"
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
+# Checkpoint tensors are stored as little-endian float64 bytes.
+TENSOR_DTYPE = "<f8"
 
 # Rows per padded forward in predict_dataset. 64 runs as fast as 128 or a
 # whole dataset at once and keeps each forward's arrays near 1 MB; at 128
@@ -677,7 +680,14 @@ def predict_dataset(model: TaggerModel, data: Dataset) -> Dataset:
 
 
 def save_model(model: TaggerModel, path) -> None:
-    """Write a versioned JSON checkpoint: config, vocab, and parameter tensors."""
+    """Write a format-2 checkpoint: one sorted-key JSON object.
+
+    It holds ``format_version``, the ``config`` fields, the ``vocab``
+    inventories and ``params``, where each tensor is ``{"shape": [...],
+    "dtype": "<f8", "data": ...}`` and ``data`` is the base64 of the
+    tensor's little-endian float64 bytes in C order. Equal models give
+    byte-identical files.
+    """
     payload = {
         "format_version": CHECKPOINT_VERSION,
         "config": asdict(model.config),
@@ -687,7 +697,13 @@ def save_model(model: TaggerModel, path) -> None:
             "intents": list(model.vocab.intents),
         },
         "params": {
-            name: {"shape": list(arr.shape), "data": arr.ravel().tolist()}
+            name: {
+                "shape": list(arr.shape),
+                "dtype": TENSOR_DTYPE,
+                "data": base64.b64encode(
+                    arr.astype(TENSOR_DTYPE, copy=False).tobytes()
+                ).decode("ascii"),
+            }
             for name, arr in model.params.items()
         },
     }
@@ -697,17 +713,35 @@ def save_model(model: TaggerModel, path) -> None:
 
 
 def load_model(path) -> TaggerModel:
-    """Load a checkpoint, validating version and tensor shapes against the config."""
+    """Load a format-2 checkpoint written by `save_model`.
+
+    Every field is checked: the version, the config and vocab, and each
+    tensor's shape, dtype and strict base64 payload, whose decoded length
+    must be exactly 8 bytes per element. The tensors must then match the
+    shapes the config and vocab imply and be finite. Any failure raises
+    `StructuralError` prefixed with ``path``. Other format versions are
+    not read; a model is regenerated by retraining from its manifest.
+    """
     with open(path, "r", encoding="utf-8") as handle:
         try:
             payload = json.load(handle)
         except ValueError as err:  # also covers non-UTF-8 bytes
             raise StructuralError(f"{path}: not a JSON checkpoint: {err}") from None
+    try:
+        return _model_from_payload(payload)
+    except StructuralError as err:
+        raise StructuralError(f"{path}: {err}") from None
+
+
+def _model_from_payload(payload) -> TaggerModel:
     if not isinstance(payload, dict):
-        raise StructuralError(f"{path}: not a JSON checkpoint object")
+        raise StructuralError("not a JSON checkpoint object")
     version = payload.get("format_version")
     if version != CHECKPOINT_VERSION:
-        raise StructuralError(f"unsupported checkpoint version {version!r}")
+        raise StructuralError(
+            f"unsupported checkpoint version {version!r} "
+            f"(this slukit reads {CHECKPOINT_VERSION}; retrain)"
+        )
     try:
         config = TrainConfig(**payload["config"])
         vocab = Vocab(
@@ -721,18 +755,39 @@ def load_model(path) -> TaggerModel:
     except TypeError as err:
         raise StructuralError(f"bad checkpoint config: {err}") from None
     if not isinstance(raw, dict):
-        raise StructuralError(f"{path}: checkpoint params are not an object")
-    params = {}
-    for name, entry in raw.items():
-        try:
-            arr = np.array(entry["data"], dtype=np.float64)
-            shape = tuple(int(n) for n in entry["shape"])
-            if arr.size != math.prod(shape):
-                raise StructuralError(f"parameter {name}: data does not match declared shape")
-            params[name] = arr.reshape(shape)
-        except KeyError as err:
-            raise StructuralError(f"parameter {name}: missing field {err}") from None
-        except (TypeError, ValueError) as err:
-            raise StructuralError(f"parameter {name}: {err}") from None
+        raise StructuralError("checkpoint params are not an object")
+    params = {name: _decode_tensor(name, entry) for name, entry in raw.items()}
     validate_params(params, config, vocab)
     return TaggerModel(config, vocab, params)
+
+
+def _decode_tensor(name: str, entry) -> np.ndarray:
+    """One checkpoint tensor as an owned, writable float64 array."""
+    if not isinstance(entry, dict):
+        raise StructuralError(f"parameter {name}: not an object")
+    for field in ("shape", "dtype", "data"):
+        if field not in entry:
+            raise StructuralError(f"parameter {name}: missing field {field!r}")
+    shape, data = entry["shape"], entry["data"]
+    if not isinstance(shape, list) or not all(type(n) is int and n >= 0 for n in shape):
+        raise StructuralError(f"parameter {name}: shape must be a list of non-negative integers")
+    if entry["dtype"] != TENSOR_DTYPE:
+        raise StructuralError(f"parameter {name}: dtype must be {TENSOR_DTYPE!r}")
+    if not isinstance(data, str):
+        raise StructuralError(f"parameter {name}: data must be a base64 string")
+    try:
+        raw = base64.b64decode(data, validate=True)
+    except ValueError as err:  # binascii.Error, or a non-ASCII character
+        raise StructuralError(f"parameter {name}: data is not base64: {err}") from None
+    expected = 8 * math.prod(shape)
+    if len(raw) != expected:
+        raise StructuralError(
+            f"parameter {name}: {len(raw)} data bytes, expected {expected} "
+            f"for shape {tuple(shape)}"
+        )
+    try:
+        arr = np.frombuffer(raw, dtype=TENSOR_DTYPE).reshape(shape)
+    except ValueError as err:  # an empty tensor can declare dimensions numpy cannot hold
+        raise StructuralError(f"parameter {name}: {err}") from None
+    # astype copies, so the array owns writable memory rather than viewing the bytes.
+    return arr.astype(np.float64)

@@ -353,6 +353,7 @@ class TestTrainPredict:
     @pytest.mark.parametrize("corruption,message", [
         ("truncate", "model.json: not a JSON checkpoint"),
         ("drop_shape", "parameter b_slot: missing field 'shape'"),
+        ("format_1", "error: model.json: unsupported checkpoint version 1"),
     ])
     def test_corrupt_checkpoint(self, workdir, capsys, corruption, message):
         self._write_corpus(workdir)
@@ -360,10 +361,19 @@ class TestTrainPredict:
         path = workdir / "model.json"
         if corruption == "truncate":
             path.write_bytes(path.read_bytes()[:200])
-        else:
+        elif corruption == "drop_shape":
             payload = json.loads(path.read_text())
             del payload["params"]["b_slot"]["shape"]
             path.write_text(json.dumps(payload))
+        else:  # the same model as format 1 wrote it: tensors as flat lists of floats
+            model = load_model(path)
+            payload = json.loads(path.read_text())
+            payload["format_version"] = 1
+            payload["params"] = {
+                name: {"shape": list(arr.shape), "data": arr.ravel().tolist()}
+                for name, arr in model.params.items()
+            }
+            path.write_text(json.dumps(payload, sort_keys=True))
         capsys.readouterr()
         assert cli.run([
             "predict", "--model", "model.json", "--in", "train.txt", "--out", "pred.txt",

@@ -1,5 +1,6 @@
 """Joint tagger: vocab, encoder, losses, gradients, training, checkpoints."""
 
+import base64
 import json
 import math
 import random
@@ -496,17 +497,28 @@ class TestPredict:
             tagger.predict(overfit_model, [])
 
 
+def resized(data: str, delta: int) -> str:
+    """A base64 tensor payload with `delta` bytes cut off (< 0) or zero bytes appended."""
+    raw = base64.b64decode(data)
+    return base64.b64encode(raw[:delta] if delta < 0 else raw + bytes(delta)).decode()
+
+
 class TestCheckpoint:
     def test_round_trip_bit_exact(self, tmp_path):
         config = small_config(epochs=2, batch_size=8)
         model, _ = tagger.train(overfit_corpus(), config)
         path = tmp_path / "model.json"
+        # Values a decimal round trip could mishandle must survive bit for bit.
+        model.params["b_fwd"][:3] = [-0.0, 5e-324, np.nextafter(0.0, -1.0) * 7]
         tagger.save_model(model, path)
         loaded = tagger.load_model(path)
         assert loaded.config == model.config
         assert loaded.vocab == model.vocab
         for name in model.params:
-            assert np.array_equal(loaded.params[name], model.params[name])
+            arr = loaded.params[name]
+            assert arr.dtype == np.float64 and arr.shape == model.params[name].shape
+            assert arr.tobytes() == model.params[name].tobytes()
+            assert arr.flags.writeable and arr.flags.owndata
 
     def test_save_is_deterministic(self, tmp_path):
         model, _ = tagger.train(overfit_corpus(), small_config(epochs=1))
@@ -530,7 +542,7 @@ class TestCheckpoint:
         path = tmp_path / "model.json"
         tagger.save_model(model, path)
         payload = json.loads(path.read_text())
-        payload["params"]["b_fwd"]["data"].append(0.0)
+        payload["params"]["b_fwd"]["data"] = resized(payload["params"]["b_fwd"]["data"], 8)
         path.write_text(json.dumps(payload))
         with pytest.raises(StructuralError, match="b_fwd"):
             tagger.load_model(path)
@@ -556,6 +568,61 @@ class TestCheckpoint:
 
     def test_missing_field(self, tmp_path):
         path = tmp_path / "model.json"
-        path.write_text(json.dumps({"format_version": 1, "config": {}}))
+        path.write_text(json.dumps({"format_version": tagger.CHECKPOINT_VERSION, "config": {}}))
         with pytest.raises(StructuralError, match="missing field"):
+            tagger.load_model(path)
+
+    def test_errors_name_the_path(self, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({"format_version": 1}))
+        with pytest.raises(StructuralError) as caught:
+            tagger.load_model(path)
+        assert str(caught.value) == (
+            f"{path}: unsupported checkpoint version 1 "
+            f"(this slukit reads {tagger.CHECKPOINT_VERSION}; retrain)"
+        )
+        model, _ = tagger.train(overfit_corpus(), small_config(epochs=1))
+        tagger.save_model(model, path)
+        payload = json.loads(path.read_text())
+        payload["params"]["b_fwd"]["shape"] = [1]
+        payload["params"]["b_fwd"]["data"] = base64.b64encode(bytes(8)).decode()
+        path.write_text(json.dumps(payload))
+        with pytest.raises(StructuralError, match=r"model\.json: parameter b_fwd: shape \(1,\)"):
+            tagger.load_model(path)
+
+    def test_non_finite_tensor_rejected(self, tmp_path):
+        model, _ = tagger.train(overfit_corpus(), small_config(epochs=1))
+        model.params["b_slot"][0] = np.nan
+        path = tmp_path / "model.json"
+        tagger.save_model(model, path)
+        with pytest.raises(StructuralError, match="model.json: parameter b_slot contains non-fin"):
+            tagger.load_model(path)
+
+    @pytest.mark.parametrize("corrupt,message", [
+        pytest.param(lambda e: e.update(data=e["data"][:8] + "*" + e["data"][8:]),
+                     "data is not base64", id="non_alphabet"),
+        pytest.param(lambda e: e.update(data=e["data"][:-1]),
+                     "data is not base64", id="bad_padding"),
+        pytest.param(lambda e: e.update(data=resized(e["data"], -1)),
+                     "575 data bytes, expected 576", id="byte_short"),
+        pytest.param(lambda e: e.update(data=resized(e["data"], 8)),
+                     "584 data bytes, expected 576", id="8_bytes_long"),
+        pytest.param(lambda e: e.update(dtype=">f8"), "dtype must be '<f8'", id="big_endian"),
+        pytest.param(lambda e: e.pop("dtype"), "missing field 'dtype'", id="dtype_missing"),
+        pytest.param(lambda e: e.update(data=[0.0] * 72),
+                     "data must be a base64 string", id="data_list"),
+        pytest.param(lambda e: e.update(data=0.5), "data must be a base64 string", id="data_number"),
+        pytest.param(lambda e: e.update(shape=[-8, -9]), "non-negative", id="negative_dim"),
+        # numpy's own wording for this one varies by version
+        pytest.param(lambda e: e.update(shape=[0, 2**70], data=""), "", id="dims_numpy_cannot_hold"),
+    ])
+    def test_bad_tensor_field(self, tmp_path, corrupt, message):
+        model, _ = tagger.train(overfit_corpus(), small_config(epochs=1))
+        path = tmp_path / "model.json"
+        tagger.save_model(model, path)
+        payload = json.loads(path.read_text())
+        assert payload["params"]["w_slot"]["shape"] == [8, 9]  # 576 bytes, no padding
+        corrupt(payload["params"]["w_slot"])
+        path.write_text(json.dumps(payload))
+        with pytest.raises(StructuralError, match=rf"model\.json: parameter w_slot: .*{message}"):
             tagger.load_model(path)
