@@ -1,10 +1,15 @@
 """Command line entry point wiring the toolkit into file-based pipelines.
 
-Every run writes a manifest (command, resolved flags, sha256 digests of
-the inputs, seed, tool version) next to its primary output, or into the
-working directory when a command only prints. Set SLUKIT_OUT_DIR to
-redirect relative output paths into another directory. Exit codes:
-0 success, 1 module error (message on stderr), 2 usage error.
+``run`` does all file I/O. It checks every output path first (parent
+made, a directory rejected), so a bad path fails before any work. Each
+``_cmd_*`` handler reads through ``_read_text``, which records the sha256
+of the exact bytes it parsed, and returns ``(outputs, extras)``: per output
+flag, text or a function that writes a given path, plus manifest extras.
+``run`` writes the outputs atomically, then one manifest (command, flags,
+input digests, seed, tool version, extras) beside ``--out``, or in the
+working directory when there is none. SLUKIT_OUT_DIR redirects relative
+output paths. Exit codes: 0 success, 1 module error (message on stderr),
+2 usage error.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ from . import __version__, corpus, homogenize, metrics, projection, sampler, sig
 from .errors import ToolkitError
 
 OUT_DIR_ENV = "SLUKIT_OUT_DIR"
+OUT_FLAGS = ("out", "json")  # every output flag; the manifest goes beside --out
 
 
 def _resolve_out(path: str) -> Path:
@@ -33,28 +39,41 @@ def _resolve_out(path: str) -> Path:
     return p
 
 
-def _read_text(path: str) -> str:
+def _read_text(path: str, digests: dict[str, str]) -> str:
+    """Decode ``path`` as ``Path.read_text`` does; record the sha256 of its bytes in ``digests``."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        data = Path(path).read_bytes()
     except OSError as err:
         raise ToolkitError(f"cannot read {path}: {err.strerror or err}") from None
+    digests[path] = hashlib.sha256(data).hexdigest()
+    try:
+        text = data.decode("utf-8")
     except UnicodeDecodeError as err:
         raise ToolkitError(f"cannot read {path}: not UTF-8 text (byte {err.start})") from None
+    return text.replace("\r\n", "\n").replace("\r", "\n")  # universal newlines
+
+
+def _check_out(path: Path) -> None:
+    """Make the parent of output ``path`` and reject a directory in its place."""
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+    except OSError as err:
+        raise ToolkitError(f"cannot write {path}: {err.strerror or err}") from None
+    if path.is_dir():
+        raise ToolkitError(f"cannot write {path}: is a directory")
 
 
 @contextmanager
 def _writing(path: Path):
     """Yield a temporary sibling of ``path`` to write; on success it replaces ``path``.
 
-    The parent directory is created first. The temporary file is renamed
-    onto ``path`` with ``os.replace`` only once the block finishes, so a
-    write that fails part-way leaves any previous file untouched, and
-    the temporary file is removed on any failure. OS failures are
-    reported as ``cannot write PATH``.
+    ``os.replace`` moves it onto ``path`` only once the block finishes, so
+    a write that fails part-way leaves any previous file untouched; the
+    temporary file is removed on any failure. OS failures read ``cannot
+    write PATH``; the parent directory must exist (``_check_out`` makes it).
     """
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")  # per process: runs never share one
     try:
-        path.parent.mkdir(parents=True, exist_ok=True)
         yield tmp
         os.replace(tmp, path)
     except OSError as err:
@@ -69,6 +88,10 @@ def _write_text(path: Path, text: str) -> None:
         tmp.write_text(text, encoding="utf-8")
 
 
+def _json_text(payload) -> str:
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
 def _digest(path: str) -> str:
     try:
         return hashlib.sha256(Path(path).read_bytes()).hexdigest()
@@ -76,85 +99,74 @@ def _digest(path: str) -> str:
         raise ToolkitError(f"cannot read {path}: {err.strerror or err}") from None
 
 
-def _load_dataset(path: str) -> corpus.Dataset:
-    return corpus.parse_dataset(_read_text(path), name=Path(path).stem)
+def _load_dataset(path: str, digests: dict[str, str]) -> corpus.Dataset:
+    return corpus.parse_dataset(_read_text(path, digests), name=Path(path).stem)
 
 
-def _write_manifest(args, inputs: list[str], primary_out: str | None, extra=None) -> None:
+def _load_model(path: str, digests: dict[str, str]) -> tagger.TaggerModel:
+    try:
+        model = tagger.load_model(path)
+    except OSError as err:
+        raise ToolkitError(f"cannot read {path}: {err.strerror or err}") from None
+    digests[path] = _digest(path)  # load_model reads the file itself
+    return model
+
+
+def _write_manifest(args, digests: dict[str, str], target: Path, extra: dict) -> None:
     """Record enough to replay the run: flags, input digests, seed, version."""
-    config = {
-        k: v for k, v in vars(args).items() if k != "handler" and not k.startswith("_")
-    }
+    config = {k: v for k, v in vars(args).items() if k != "handler" and not k.startswith("_")}
     manifest = {
         "command": args._command,
         "config": config,
-        "inputs": {path: _digest(path) for path in inputs},
+        "inputs": digests,
         "seed": getattr(args, "seed", None),
         "tool_version": __version__,
+        **extra,
     }
-    if extra:
-        manifest.update(extra)
-    if primary_out is not None:
-        out = _resolve_out(primary_out)
-        target = out.with_name(out.name + ".manifest.json")
-    else:
-        target = _resolve_out(f"{args._command}.manifest.json")
-    _write_text(target, json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+    _write_text(target, _json_text(manifest))
 
 
-def _cmd_validate(args) -> None:
-    ds = _load_dataset(args.infile)
-    issues = corpus.validate(ds)
+def _cmd_validate(args, digests):
+    issues = corpus.validate(_load_dataset(args.infile, digests))
     for issue in issues:
         print(f"{issue.utterance_id}\t{issue.position}\t{issue.kind.value}")
     print(f"issues\t{len(issues)}")
-    _write_manifest(args, [args.infile], None)
+    return {}, {}
 
 
-def _cmd_evaluate(args) -> None:
-    gold = _load_dataset(args.gold)
-    pred = _load_dataset(args.pred)
+def _cmd_evaluate(args, digests):
+    gold = _load_dataset(args.gold, digests)
+    pred = _load_dataset(args.pred, digests)
     report = metrics.strict_f1(gold, pred)
     text = metrics.format_report(report)
     sys.stdout.write(text)
-    if args.out:
-        _write_text(_resolve_out(args.out), text)
-    if args.json:
-        _write_text(
-            _resolve_out(args.json),
-            json.dumps(metrics.report_to_json(report), sort_keys=True, indent=2) + "\n",
-        )
-    _write_manifest(args, [args.gold, args.pred], args.out)
+    json_text = _json_text(metrics.report_to_json(report)) if args.json else None
+    return {"out": text, "json": json_text}, {}
 
 
-def _cmd_project(args) -> None:
-    src = _load_dataset(args.src)
-    alignments = projection.parse_alignments(_read_text(args.align))
+def _cmd_project(args, digests):
+    src = _load_dataset(args.src, digests)
+    alignments = projection.parse_alignments(_read_text(args.align, digests))
     projected = projection.project_dataset(src, alignments)
-    _write_text(_resolve_out(args.out), corpus.write_dataset(projected))
-    _write_manifest(args, [args.src, args.align], args.out)
+    return {"out": corpus.write_dataset(projected)}, {}
 
 
-def _cmd_homogenize(args) -> None:
-    ds = _load_dataset(args.infile)
-    lmap = homogenize.parse_label_map(_read_text(args.map))
+def _cmd_homogenize(args, digests):
+    ds = _load_dataset(args.infile, digests)
+    lmap = homogenize.parse_label_map(_read_text(args.map, digests))
     out = homogenize.apply_label_map(ds, lmap)
     if args.trim:
         out = homogenize.trim_spans(out, [t for t in args.trim.split(",") if t])
-    _write_text(_resolve_out(args.out), corpus.write_dataset(out))
-    _write_manifest(args, [args.infile, args.map], args.out)
+    return {"out": corpus.write_dataset(out)}, {}
 
 
-def _cmd_merge(args) -> None:
-    datasets = [_load_dataset(path) for path in args.inputs]
+def _cmd_merge(args, digests):
+    datasets = [_load_dataset(path, digests) for path in args.inputs]
     merged = homogenize.merge_shuffle(datasets, args.seed)
-    _write_text(_resolve_out(args.out), corpus.write_dataset(merged))
-    _write_manifest(
-        args, list(args.inputs), args.out, extra={"rng": homogenize.RNG_ALGORITHM}
-    )
+    return {"out": corpus.write_dataset(merged)}, {"rng": homogenize.RNG_ALGORITHM}
 
 
-def _cmd_schedule(args) -> None:
+def _cmd_schedule(args, digests):
     names = [n for n in args.names.split(",") if n]
     try:
         sizes = [int(s) for s in args.sizes.split(",") if s]
@@ -169,25 +181,21 @@ def _cmd_schedule(args) -> None:
         print(f"weight\t{name}\t{weight:.6f}")
     for name in names:
         print(f"batches\t{name}\t{schedule.counts[name]}")
-    if args.out:
-        payload = {
-            "seed": schedule.seed,
-            "alpha": args.alpha,
-            "weights": {n: w for n, w in zip(names, weights)},
-            "counts": schedule.counts,
-            "draws": [list(d) for d in schedule.draws],
-        }
-        _write_text(_resolve_out(args.out), json.dumps(payload, sort_keys=True, indent=2) + "\n")
-    _write_manifest(args, [], args.out)
+    payload = {
+        "seed": schedule.seed,
+        "alpha": args.alpha,
+        "weights": {n: w for n, w in zip(names, weights)},
+        "counts": schedule.counts,
+        "draws": [list(d) for d in schedule.draws],
+    }
+    return {"out": _json_text(payload) if args.out else None}, {}
 
 
-def _cmd_train(args) -> None:
-    data = _load_dataset(args.train)
+def _cmd_train(args, digests):
+    data = _load_dataset(args.train, digests)
     mlm_sentences = None
-    inputs = [args.train]
     if args.mlm:
-        mlm_sentences = [line.split() for line in _read_text(args.mlm).splitlines() if line.split()]
-        inputs.append(args.mlm)
+        mlm_sentences = [s for s in map(str.split, _read_text(args.mlm, digests).splitlines()) if s]
     config = tagger.TrainConfig(
         embed_dim=args.embed_dim,
         hidden_dim=args.hidden_dim,
@@ -204,40 +212,24 @@ def _cmd_train(args) -> None:
         batches_per_epoch=args.batches_per_epoch,
         max_mlm_sentences=args.max_mlm_sentences,
     )
-    out = _resolve_out(args.out)
-    with _writing(out) as tmp:  # the parent is made on entry, so a bad --out fails before training
-        if out.is_dir():
-            raise ToolkitError(f"cannot write {out}: is a directory")
-        model, log = tagger.train(data, config, mlm_sentences)
-        tagger.save_model(model, tmp)
+    model, log = tagger.train(data, config, mlm_sentences)
     fmt = lambda v: "-" if v is None else f"{v:.6f}"
     for entry in log:
         print(
             f"epoch\t{entry.epoch}\t{entry.total:.6f}"
             f"\t{fmt(entry.intent)}\t{fmt(entry.slot)}\t{fmt(entry.mlm)}"
         )
-    _write_manifest(args, inputs, args.out)
+    return {"out": lambda path: tagger.save_model(model, path)}, {}
 
 
-def _cmd_predict(args) -> None:
-    model = _load_model(args.model)
-    data = _load_dataset(args.infile)
-    predicted = tagger.predict_dataset(model, data)
-    _write_text(_resolve_out(args.out), corpus.write_dataset(predicted))
-    _write_manifest(args, [args.model, args.infile], args.out)
+def _cmd_predict(args, digests):
+    model = _load_model(args.model, digests)
+    data = _load_dataset(args.infile, digests)
+    return {"out": corpus.write_dataset(tagger.predict_dataset(model, data))}, {}
 
 
-def _load_model(path: str) -> tagger.TaggerModel:
-    if not Path(path).exists():
-        raise ToolkitError(f"cannot read {path}: no such file")
-    try:
-        return tagger.load_model(path)
-    except OSError as err:
-        raise ToolkitError(f"cannot read {path}: {err.strerror or err}") from None
-
-
-def _cmd_agreement(args) -> None:
-    rows = list(csv.reader(io.StringIO(_read_text(args.table))))
+def _cmd_agreement(args, digests):
+    rows = list(csv.reader(io.StringIO(_read_text(args.table, digests))))
     if len(rows) < 2 or len(rows[0]) < 2:
         raise ToolkitError(f"{args.table}: need a header row and at least one item row")
     counts = []
@@ -248,11 +240,11 @@ def _cmd_agreement(args) -> None:
             raise ToolkitError(f"{args.table}: non-integer count in row {row[0]!r}") from None
     table = metrics.AgreementTable(tuple(counts), n_annotators=sum(counts[0]))
     print(f"fleiss_kappa\t{metrics.fleiss_kappa(table):.4f}")
-    _write_manifest(args, [args.table], None)
+    return {}, {}
 
 
-def _cmd_correlate(args) -> None:
-    reader = csv.DictReader(io.StringIO(_read_text(args.scores)))
+def _cmd_correlate(args, digests):
+    reader = csv.DictReader(io.StringIO(_read_text(args.scores, digests)))
     fields = reader.fieldnames or []
     for col in (args.x, args.y):
         if col not in fields:
@@ -265,11 +257,11 @@ def _cmd_correlate(args) -> None:
         except (TypeError, ValueError):
             raise ToolkitError(f"{args.scores}: non-numeric value in row {row!r}") from None
     print(f"pearson\t{metrics.pearson(xs, ys):.4f}")
-    _write_manifest(args, [args.scores], None)
+    return {}, {}
 
 
-def _cmd_significance(args) -> None:
-    cells = significance.parse_scores_csv(_read_text(args.scores))
+def _cmd_significance(args, digests):
+    cells = significance.parse_scores_csv(_read_text(args.scores, digests))
     metrics_present = sorted({metric for _, _, metric in cells})
     metric = args.metric
     if metric is None:
@@ -292,14 +284,8 @@ def _cmd_significance(args) -> None:
     )
     text = significance.format_comparison(table)
     sys.stdout.write(text)
-    if args.out:
-        _write_text(_resolve_out(args.out), text)
-    if args.json:
-        _write_text(
-            _resolve_out(args.json),
-            json.dumps(significance.comparison_to_json(table), sort_keys=True, indent=2) + "\n",
-        )
-    _write_manifest(args, [args.scores], args.out)
+    json_text = _json_text(significance.comparison_to_json(table)) if args.json else None
+    return {"out": text, "json": json_text}, {}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -400,10 +386,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        args.handler(args)
+        targets = {f: _resolve_out(getattr(args, f)) for f in OUT_FLAGS if getattr(args, f, None)}
+        primary = targets.get("out") or _resolve_out(args._command)
+        manifest = primary.with_name(primary.name + ".manifest.json")
+        for path in (*targets.values(), manifest):
+            _check_out(path)
+        digests: dict[str, str] = {}
+        outputs, extra = args.handler(args, digests)
+        for flag, path in targets.items():
+            if callable(outputs[flag]):
+                with _writing(path) as tmp:
+                    outputs[flag](tmp)
+            else:
+                _write_text(path, outputs[flag])
+        _write_manifest(args, digests, manifest, extra)
     except ToolkitError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1

@@ -743,17 +743,23 @@ def _model_from_payload(payload) -> TaggerModel:
             f"(this slukit reads {CHECKPOINT_VERSION}; retrain)"
         )
     try:
-        config = TrainConfig(**payload["config"])
-        vocab = Vocab(
-            tokens=tuple(payload["vocab"]["tokens"]),
-            slot_tags=tuple(payload["vocab"]["slot_tags"]),
-            intents=tuple(payload["vocab"]["intents"]),
-        )
-        raw = payload["params"]
+        config, vocab, raw = payload["config"], payload["vocab"], payload["params"]
     except KeyError as err:
         raise StructuralError(f"checkpoint missing field {err}") from None
+    try:
+        config = TrainConfig(**config)
     except TypeError as err:
         raise StructuralError(f"bad checkpoint config: {err}") from None
+    try:
+        vocab = Vocab(
+            tokens=tuple(vocab["tokens"]),
+            slot_tags=tuple(vocab["slot_tags"]),
+            intents=tuple(vocab["intents"]),
+        )
+    except KeyError as err:
+        raise StructuralError(f"bad checkpoint vocab: missing field {err}") from None
+    except TypeError as err:
+        raise StructuralError(f"bad checkpoint vocab: {err}") from None
     if not isinstance(raw, dict):
         raise StructuralError("checkpoint params are not an object")
     params = {name: _decode_tensor(name, entry) for name, entry in raw.items()}

@@ -1,6 +1,7 @@
 """Command line interface: subcommands, manifests, exit codes."""
 
 import errno
+import hashlib
 import json
 import os
 import shutil
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from slukit import cli, corpus, homogenize, tagger
+from slukit import cli, corpus, homogenize, metrics, significance, tagger
 from slukit.tagger import load_model
 
 from support import make_dataset, package_env
@@ -55,6 +56,14 @@ def _manifest(path):
 
 def _disk_full():
     return OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+def _sha256(path):
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+def _never_called(*args, **kwargs):
+    raise AssertionError("computed before the output paths were checked")
 
 
 class TestValidate:
@@ -167,6 +176,14 @@ class TestHomogenizeMerge:
         assert code == 0
         ds = corpus.parse_dataset((workdir / "out.txt").read_text())
         assert ds.utterances[0].slot_tags == ("O", "O", "O", "B-time")
+
+    def test_in_place_manifest_records_parsed_bytes(self, workdir):
+        (workdir / "d.txt").write_text(CLEAN)
+        (workdir / "m.tsv").write_text("[slots]\ndatetime\ttime\n")
+        parsed = _sha256(workdir / "d.txt")
+        assert cli.run(["homogenize", "--in", "d.txt", "--map", "m.tsv", "--out", "d.txt"]) == 0
+        assert _sha256(workdir / "d.txt") != parsed  # rewritten with the new label
+        assert _manifest(workdir / "d.txt.manifest.json")["inputs"]["d.txt"] == parsed
 
     def test_merge_manifest_records_rng(self, workdir):
         (workdir / "a.txt").write_text(CLEAN)
@@ -342,6 +359,13 @@ class TestTrainPredict:
         assert "error: cannot read train.txt: not UTF-8" in err
         assert "Traceback" not in err
 
+    def test_missing_model_names_os_error(self, workdir, capsys):
+        self._write_corpus(workdir)
+        assert cli.run([
+            "predict", "--model", "ghost.json", "--in", "train.txt", "--out", "pred.txt",
+        ]) == 1
+        assert "error: cannot read ghost.json: No such file or directory" in capsys.readouterr().err
+
     def test_model_path_is_a_directory(self, workdir, capsys):
         self._write_corpus(workdir)
         (workdir / "model.json").mkdir()
@@ -454,6 +478,53 @@ class TestSignificance:
             "significance", "--scores", "scores.csv", "--baseline", "base",
             "--seed", "0", "--metric", "f1",
         ]) == 0
+
+
+class TestNewlines:
+    @pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["crlf", "cr"])
+    def test_read_as_lf(self, workdir, capsys, newline):
+        """validate and homogenize see a CRLF or CR file exactly as its LF twin."""
+        data, lmap = DIRTY + "\n" + CLEAN, "[slots]\ndatetime\ttime\n"
+        for name, text in (("data", data), ("map", lmap)):
+            (workdir / f"lf_{name}.txt").write_bytes(text.encode())
+            (workdir / f"nl_{name}.txt").write_bytes(text.replace("\n", newline).encode())
+        results = []
+        for kind in ("lf", "nl"):
+            assert cli.run(["validate", "--in", f"{kind}_data.txt"]) == 0
+            assert cli.run([
+                "homogenize", "--in", f"{kind}_data.txt", "--map", f"{kind}_map.txt",
+                "--out", f"{kind}_out.txt",
+            ]) == 0
+            results.append((capsys.readouterr().out, (workdir / f"{kind}_out.txt").read_bytes()))
+        assert results[0] == results[1]
+        assert "d1\t1\tOrphanI" in results[1][0] and b"B-time" in results[1][1]
+        inputs = _manifest(workdir / "nl_out.txt.manifest.json")["inputs"]
+        assert inputs["nl_data.txt"] == _sha256(workdir / "nl_data.txt")
+
+
+class TestOutputsCheckedFirst:
+    def test_evaluate_out_is_a_directory(self, workdir, capsys, monkeypatch):
+        (workdir / "gold.txt").write_text(CLEAN)
+        (workdir / "a_dir").mkdir()
+        listing = sorted(os.listdir(workdir))
+        monkeypatch.setattr(metrics, "strict_f1", _never_called)
+        assert cli.run([
+            "evaluate", "--gold", "gold.txt", "--pred", "gold.txt", "--out", "a_dir",
+        ]) == 1
+        assert "error: cannot write a_dir" in capsys.readouterr().err
+        assert sorted(os.listdir(workdir)) == listing
+
+    def test_significance_out_under_a_file(self, workdir, capsys, monkeypatch):
+        (workdir / "scores.csv").write_text(SCORES_CSV)
+        (workdir / "blocker").write_text("a file, not a directory\n")
+        listing = sorted(os.listdir(workdir))
+        monkeypatch.setattr(significance, "compare_table", _never_called)
+        assert cli.run([
+            "significance", "--scores", "scores.csv", "--baseline", "base", "--seed", "0",
+            "--out", "blocker/x.txt",
+        ]) == 1
+        assert "error: cannot write blocker/x.txt" in capsys.readouterr().err
+        assert sorted(os.listdir(workdir)) == listing
 
 
 ALIGN = json.dumps({

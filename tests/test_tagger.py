@@ -572,6 +572,25 @@ class TestCheckpoint:
         with pytest.raises(StructuralError, match="missing field"):
             tagger.load_model(path)
 
+    @pytest.mark.parametrize("corrupt,message", [
+        pytest.param(lambda p: p.update(vocab=[]),
+                     "bad checkpoint vocab: list indices must be integers", id="vocab_list"),
+        pytest.param(lambda p: p["vocab"].update(tokens=3),
+                     "bad checkpoint vocab: 'int' object is not iterable", id="tokens_int"),
+        pytest.param(lambda p: p["vocab"].pop("intents"),
+                     "bad checkpoint vocab: missing field 'intents'", id="intents_missing"),
+    ])
+    def test_bad_vocab_named(self, tmp_path, corrupt, message):
+        model, _ = tagger.train(overfit_corpus(), small_config(epochs=1))
+        path = tmp_path / "model.json"
+        tagger.save_model(model, path)
+        payload = json.loads(path.read_text())
+        corrupt(payload)
+        path.write_text(json.dumps(payload))
+        with pytest.raises(StructuralError) as caught:
+            tagger.load_model(path)
+        assert str(caught.value).startswith(f"{path}: {message}")
+
     def test_errors_name_the_path(self, tmp_path):
         path = tmp_path / "model.json"
         path.write_text(json.dumps({"format_version": 1}))
