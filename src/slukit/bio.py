@@ -19,6 +19,7 @@ _TAG_RE = re.compile(r"O|[BI]-\S+")
 # so results are memoised (bounded, in case callers stream huge label sets).
 _SPLIT_CACHE: dict[str, tuple[str, str | None]] = {}
 _SPLIT_CACHE_MAX = 100_000
+_KNOWN = _SPLIT_CACHE.keys()  # live view: every tag parse_tag has accepted
 
 
 @dataclass(frozen=True, order=True)
@@ -61,6 +62,22 @@ def parse_tag(tag: str, position: int | None = None) -> tuple[str, str | None]:
     return got
 
 
+def check_tags(tags) -> None:
+    """Raise StructuralError for the first lexically malformed tag, naming its position.
+
+    Every tag in the parse_tag cache has been validated, so a sequence of
+    known tags costs one set-containment test; the positional parse_tag
+    scan runs only when some tag is new.
+    """
+    if not _KNOWN >= set(tags):
+        for pos, tag in enumerate(tags):
+            parse_tag(tag, pos)
+
+
+# The scans below run check_tags first, so each tag is "O", "B-x" or "I-x"
+# and a chunk is tracked as the I tag that continues it ("I-" + its label).
+
+
 def tag_issues(tags) -> list[tuple[int, IssueKind]]:
     """Scan a sequence for BIO violations.
 
@@ -69,18 +86,18 @@ def tag_issues(tags) -> list[tuple[int, IssueKind]]:
     governing label is the one carried by the chunk-initial token,
     whether that token was a B or an orphan I.
     """
+    check_tags(tags)
     issues = []
-    chunk: str | None = None
+    inside: str | None = None
     for pos, tag in enumerate(tags):
-        prefix, label = parse_tag(tag, pos)
-        if prefix == "O":
-            chunk = None
-        elif prefix == "B":
-            chunk = label
-        elif chunk is None:
+        if tag == "O":
+            inside = None
+        elif tag[0] == "B":
+            inside = "I" + tag[1:]
+        elif inside is None:
             issues.append((pos, IssueKind.ORPHAN_I))
-            chunk = label
-        elif label != chunk:
+            inside = tag
+        elif tag != inside:
             issues.append((pos, IssueKind.LABEL_SWITCH))
     return issues
 
@@ -98,21 +115,21 @@ def repair(tags) -> list[str]:
     label, which then governs the chunk). Valid input comes back
     unchanged, and the operation is idempotent.
     """
+    check_tags(tags)
     out = []
-    chunk: str | None = None
-    for pos, tag in enumerate(tags):
-        prefix, label = parse_tag(tag, pos)
-        if prefix == "O":
-            chunk = None
-            out.append("O")
-        elif prefix == "B":
-            chunk = label
+    inside: str | None = None
+    for tag in tags:
+        if tag == "O":
+            inside = None
             out.append(tag)
-        elif chunk is None:
-            chunk = label
-            out.append("B-" + label)
+        elif tag[0] == "B":
+            inside = "I" + tag[1:]
+            out.append(tag)
+        elif inside is None:
+            inside = tag
+            out.append("B" + tag[1:])
         else:
-            out.append("I-" + chunk)
+            out.append(inside)
     return out
 
 
@@ -121,24 +138,26 @@ def spans_from_tags(tags) -> list[SlotSpan]:
 
     Invalid sequences are rejected rather than silently repaired so that
     data bugs surface at the call site; run repair first when unclean
-    input is expected.
+    input is expected. A malformed tag anywhere is reported before the
+    first transition violation.
     """
-    problems = tag_issues(tags)
-    if problems:
-        pos, kind = problems[0]
-        raise StructuralError(f"invalid BIO sequence: {kind.value} at position {pos}")
+    check_tags(tags)
     spans = []
-    start: int | None = None
-    open_label: str | None = None
+    start = 0
+    inside: str | None = None
     for pos, tag in enumerate(tags):
-        prefix, label = parse_tag(tag, pos)
-        if prefix != "I" and start is not None:
-            spans.append(SlotSpan(start, pos, open_label))
-            start, open_label = None, None
-        if prefix == "B":
-            start, open_label = pos, label
-    if start is not None:
-        spans.append(SlotSpan(start, len(tags), open_label))
+        if tag == inside:
+            continue
+        if tag[0] == "I":
+            kind = IssueKind.ORPHAN_I if inside is None else IssueKind.LABEL_SWITCH
+            raise StructuralError(f"invalid BIO sequence: {kind.value} at position {pos}")
+        if inside is not None:
+            spans.append(SlotSpan(start, pos, inside[2:]))
+            inside = None
+        if tag != "O":
+            start, inside = pos, "I" + tag[1:]
+    if inside is not None:
+        spans.append(SlotSpan(start, len(tags), inside[2:]))
     return spans
 
 

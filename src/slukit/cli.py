@@ -93,6 +93,11 @@ def _json_text(payload) -> str:
 
 
 def _digest(path: str) -> str:
+    """sha256 of the file at ``path``.
+
+    No command calls it, since ``_read_text`` hashes what it reads; the
+    benchmark's tracer (``perfbench/tracer.py``) wraps this name.
+    """
     try:
         return hashlib.sha256(Path(path).read_bytes()).hexdigest()
     except OSError as err:
@@ -104,12 +109,7 @@ def _load_dataset(path: str, digests: dict[str, str]) -> corpus.Dataset:
 
 
 def _load_model(path: str, digests: dict[str, str]) -> tagger.TaggerModel:
-    try:
-        model = tagger.load_model(path)
-    except OSError as err:
-        raise ToolkitError(f"cannot read {path}: {err.strerror or err}") from None
-    digests[path] = _digest(path)  # load_model reads the file itself
-    return model
+    return tagger.loads_model(_read_text(path, digests), path)
 
 
 def _write_manifest(args, digests: dict[str, str], target: Path, extra: dict) -> None:

@@ -8,19 +8,25 @@ One utterance per block, blocks separated by exactly one blank line::
     1<TAB><token><TAB><tag>
     2<TAB><token><TAB><tag>
 
-Token indices are 1-based and contiguous. Files are UTF-8 with LF line
-endings and no trailing blank line; ``write_dataset`` emits exactly this
-shape and ``parse_dataset`` inverts it.
+Token indices are 1-based and contiguous, written as plain decimals
+(``1``, ``2``, ...; no sign, padding or other digits). Files are UTF-8
+with LF line endings and no trailing blank line; ``write_dataset`` emits
+exactly this shape and ``parse_dataset`` inverts it.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 from . import bio
 from .errors import ParseError, StructuralError
 
 _HEADERS = ("# id: ", "# text: ", "# intent: ")
+_ID, _TEXT, _INTENT = _HEADERS
+_BLOCK_RE = re.compile(r"[^\n]+(?:\n[^\n]+)*")  # a maximal run of nonblank lines
+_ROWS_RE = re.compile(r"[^\t\n]*\t[^\t\n]*\t[^\t\n]*(?:\n[^\t\n]*\t[^\t\n]*\t[^\t\n]*)*")
+_INDEX = [str(k) for k in range(1, 513)]  # the only accepted token index strings, in order
 
 
 @dataclass(frozen=True)
@@ -53,13 +59,13 @@ class Utterance:
         for name, value in (("id", self.id), ("text", self.text), ("intent", self.intent)):
             if "\n" in value:
                 raise StructuralError(f"utterance {self.id!r}: newline in {name} field")
-        for tok in self.tokens:
-            if "\t" in tok or "\n" in tok:
-                raise StructuralError(
-                    f"utterance {self.id!r}: token {tok!r} contains tab or newline"
-                )
-        for pos, tag in enumerate(self.slot_tags):
-            bio.parse_tag(tag, pos)
+        joined = "".join(self.tokens)
+        if "\t" in joined or "\n" in joined:
+            bad = next(tok for tok in self.tokens if "\t" in tok or "\n" in tok)
+            raise StructuralError(
+                f"utterance {self.id!r}: token {bad!r} contains tab or newline"
+            )
+        bio.check_tags(self.slot_tags)
 
 
 @dataclass(frozen=True)
@@ -78,15 +84,11 @@ class Dataset:
 
     def __post_init__(self):
         object.__setattr__(self, "utterances", tuple(self.utterances))
-        labels, intents = set(), set()
-        for utt in self.utterances:
-            intents.add(utt.intent)
-            for tag in utt.slot_tags:
-                _, label = bio.parse_tag(tag)
-                if label is not None:
-                    labels.add(label)
+        tags = set().union(*(utt.slot_tags for utt in self.utterances))
+        labels = {bio.parse_tag(tag)[1] for tag in tags} - {None}
         object.__setattr__(self, "label_inventory", frozenset(labels))
-        object.__setattr__(self, "intent_inventory", frozenset(intents))
+        intents = frozenset(utt.intent for utt in self.utterances)
+        object.__setattr__(self, "intent_inventory", intents)
 
     def __len__(self) -> int:
         return len(self.utterances)
@@ -109,23 +111,38 @@ def parse_dataset(text: str, name: str = "dataset") -> Dataset:
 
     Extra blank lines between blocks and a trailing blank line are
     tolerated; the canonical form written by write_dataset has exactly
-    one separator line and none at the end.
+    one separator line and none at the end. Each block is split in bulk;
+    only a block that fails the bulk checks is walked line by line, to
+    word the error with its line number.
     """
     utterances = []
-    block: list[tuple[int, str]] = []
-    for lineno, line in enumerate(text.split("\n"), start=1):
-        if line == "":
-            if block:
-                utterances.append(_parse_block(block))
-                block = []
-        else:
-            block.append((lineno, line))
-    if block:
-        utterances.append(_parse_block(block))
+    for match in _BLOCK_RE.finditer(text):
+        lines = match.group().split("\n", 3)
+        if (
+            len(lines) == 4
+            and lines[0].startswith(_ID)
+            and lines[1].startswith(_TEXT)
+            and lines[2].startswith(_INTENT)
+            and _ROWS_RE.fullmatch(lines[3])
+        ):
+            cells = lines[3].replace("\n", "\t").split("\t")
+            if cells[0::3] == _indices(len(cells) // 3):
+                utterances.append(Utterance(
+                    lines[0][len(_ID):], lines[1][len(_TEXT):], cells[1::3], cells[2::3],
+                    lines[2][len(_INTENT):],
+                ))
+                continue
+        first = text.count("\n", 0, match.start()) + 1
+        _block_error(list(enumerate(match.group().split("\n"), start=first)))
     return Dataset(name, tuple(utterances))
 
 
-def _parse_block(lines: list[tuple[int, str]]) -> Utterance:
+def _indices(n: int) -> list[str]:
+    return _INDEX[:n] if n <= len(_INDEX) else [str(k) for k in range(1, n + 1)]
+
+
+def _block_error(lines: list[tuple[int, str]]) -> None:
+    """Raise the error of a block that failed parse_dataset's bulk checks."""
     if len(lines) < len(_HEADERS):
         raise StructuralError(f"line {lines[0][0]}: incomplete utterance block")
     values = []
@@ -133,38 +150,35 @@ def _parse_block(lines: list[tuple[int, str]]) -> Utterance:
         if not line.startswith(header):
             raise StructuralError(f"line {lineno}: expected {header.rstrip()!r} header")
         values.append(line[len(header):])
-    utt_id, utt_text, intent = values
-    tokens, tags = [], []
     for offset, (lineno, line) in enumerate(lines[len(_HEADERS):], start=1):
         cols = line.split("\t")
         if len(cols) != 3:
             raise ParseError(
                 f"expected 3 tab-separated columns, got {len(cols)}", line=lineno
             )
-        index_str, token, tag = cols
-        try:
-            index = int(index_str)
-        except ValueError:
-            raise ParseError(
-                f"token index {index_str!r} is not an integer", line=lineno
-            ) from None
-        if index != offset:
-            raise StructuralError(f"line {lineno}: token index {index}, expected {offset}")
-        tokens.append(token)
-        tags.append(tag)
-    return Utterance(utt_id, utt_text, tuple(tokens), tuple(tags), intent)
+        index_str = cols[0]
+        if index_str != str(offset):
+            try:
+                int(index_str)
+            except ValueError:
+                raise ParseError(
+                    f"token index {index_str!r} is not an integer", line=lineno
+                ) from None
+            raise StructuralError(f"line {lineno}: token index {index_str}, expected {offset}")
+    utt_id, utt_text, intent = values
+    Utterance(utt_id, utt_text, (), (), intent)  # a block with no token lines: raises
+    raise AssertionError("a block failed the bulk checks but passed the line checks")
 
 
 def write_dataset(ds: Dataset) -> str:
     """Serialise to the canonical block format; inverse of parse_dataset."""
+    index = _indices(max((len(utt.tokens) for utt in ds.utterances), default=0))
     blocks = []
     for utt in ds.utterances:
-        lines = [f"# id: {utt.id}", f"# text: {utt.text}", f"# intent: {utt.intent}"]
-        lines.extend(
-            f"{i}\t{tok}\t{tag}"
-            for i, (tok, tag) in enumerate(zip(utt.tokens, utt.slot_tags), start=1)
+        rows = map("\t".join, zip(index, utt.tokens, utt.slot_tags))
+        blocks.append(
+            f"{_ID}{utt.id}\n{_TEXT}{utt.text}\n{_INTENT}{utt.intent}\n" + "\n".join(rows) + "\n"
         )
-        blocks.append("\n".join(lines) + "\n")
     return "\n".join(blocks)
 
 

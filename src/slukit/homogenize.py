@@ -10,12 +10,12 @@ be replayed bit-for-bit anywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Mapping
 
 from . import bio
-from .corpus import Dataset
+from .corpus import Dataset, Utterance
 from .errors import ParseError, StructuralError
 
 # Identifier for the shuffle algorithm, recorded in run manifests.
@@ -84,18 +84,21 @@ def apply_label_map(ds: Dataset, lmap: LabelMap) -> Dataset:
     """Rename slot labels and intents; B/I prefixes and boundaries stay put.
 
     Two adjacent spans that collapse onto the same new label remain two
-    spans, because the second one keeps its B tag.
+    spans, because the second one keeps its B tag. Each distinct tag is
+    renamed once.
     """
-    out = []
-    for utt in ds:
-        tags = []
-        for tag in utt.slot_tags:
-            prefix, label = bio.parse_tag(tag)
-            tags.append("O" if label is None else f"{prefix}-{lmap.slot(label)}")
-        out.append(
-            replace(utt, slot_tags=tuple(tags), intent=lmap.intent(utt.intent))
+    renamed = {}
+    for tag in set().union(*(utt.slot_tags for utt in ds)):
+        prefix, label = bio.parse_tag(tag)
+        renamed[tag] = "O" if label is None else f"{prefix}-{lmap.slot(label)}"
+    out = tuple(
+        Utterance(
+            utt.id, utt.text, utt.tokens, tuple(map(renamed.__getitem__, utt.slot_tags)),
+            lmap.intent(utt.intent),
         )
-    return Dataset(ds.name, tuple(out))
+        for utt in ds
+    )
+    return Dataset(ds.name, out)
 
 
 def trim_spans(ds: Dataset, leading_tokens) -> Dataset:
@@ -105,20 +108,23 @@ def trim_spans(ds: Dataset, leading_tokens) -> Dataset:
     or "at" inside a span; this hook removes them. Matching is
     case-insensitive, a span whose tokens are all stripped is dropped,
     and tag sequences are repaired before extraction so unclean input
-    does not abort the cleanup.
+    does not abort the cleanup. An utterance with no span-initial drop
+    word keeps its repaired tags.
     """
     drop = {t.lower() for t in leading_tokens}
     out = []
     for utt in ds:
-        kept = []
-        for span in bio.spans_from_tags(bio.repair(utt.slot_tags)):
-            start = span.start
-            while start < span.end and utt.tokens[start].lower() in drop:
-                start += 1
-            if start < span.end:
-                kept.append(bio.SlotSpan(start, span.end, span.label))
-        tags = bio.tags_from_spans(kept, len(utt.tokens))
-        out.append(replace(utt, slot_tags=tuple(tags)))
+        tags = bio.repair(utt.slot_tags)
+        if any(tag[0] == "B" and tok.lower() in drop for tok, tag in zip(utt.tokens, tags)):
+            kept = []
+            for span in bio.spans_from_tags(tags):
+                start = span.start
+                while start < span.end and utt.tokens[start].lower() in drop:
+                    start += 1
+                if start < span.end:
+                    kept.append(bio.SlotSpan(start, span.end, span.label))
+            tags = bio.tags_from_spans(kept, len(utt.tokens))
+        out.append(Utterance(utt.id, utt.text, utt.tokens, tuple(tags), utt.intent))
     return Dataset(ds.name, tuple(out))
 
 

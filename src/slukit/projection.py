@@ -34,6 +34,25 @@ class AlignmentRecord:
                 raise StructuralError(f"record {self.id!r}: {field} must be a list of strings")
             object.__setattr__(self, field, tuple(tokens))
         n_src, n_tgt = len(self.src_tokens), len(self.tgt_tokens)
+        try:
+            scores = np.array(self.scores, dtype=np.float64)
+        except (TypeError, ValueError, OverflowError):
+            scores = None
+        if scores is None or scores.shape != (n_src, n_tgt):
+            scores = self._checked_rows(n_src, n_tgt)
+        finite = np.isfinite(scores).all(axis=1)
+        if not finite.all():
+            bad = int(np.argmin(finite))
+            raise StructuralError(f"record {self.id!r}: non-finite score in row {bad}")
+        scores.flags.writeable = False
+        object.__setattr__(self, "scores", scores)
+
+    def _checked_rows(self, n_src: int, n_tgt: int) -> np.ndarray:
+        """Scores that are not an [n_src, n_tgt] grid of numbers, checked row by row.
+
+        Words the error (row count, a ragged row, non-numbers); an empty
+        grid comes back as a [0, n_tgt] array.
+        """
         rows = list(self.scores)
         if len(rows) != n_src:
             raise StructuralError(
@@ -48,12 +67,7 @@ class AlignmentRecord:
         scores = np.array(rows, dtype=np.float64) if rows else np.empty((0, n_tgt))
         if scores.ndim != 2:
             raise StructuralError(f"record {self.id!r}: scores must be numbers")
-        finite = np.isfinite(scores).all(axis=1)
-        if not finite.all():
-            bad = int(np.argmin(finite))
-            raise StructuralError(f"record {self.id!r}: non-finite score in row {bad}")
-        scores.flags.writeable = False
-        object.__setattr__(self, "scores", scores)
+        return scores
 
 
 def project_labels(src_tags, rec: AlignmentRecord) -> list[str]:

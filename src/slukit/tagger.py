@@ -724,9 +724,22 @@ def load_model(path) -> TaggerModel:
     """
     with open(path, "r", encoding="utf-8") as handle:
         try:
-            payload = json.load(handle)
-        except ValueError as err:  # also covers non-UTF-8 bytes
+            text = handle.read()
+        except UnicodeDecodeError as err:
             raise StructuralError(f"{path}: not a JSON checkpoint: {err}") from None
+    return loads_model(text, path)
+
+
+def loads_model(text: str, path) -> TaggerModel:
+    """Parse the text of a format-2 checkpoint read from ``path``.
+
+    Checks everything `load_model` does; ``path`` only names the file in
+    error messages.
+    """
+    try:
+        payload = json.loads(text)
+    except ValueError as err:
+        raise StructuralError(f"{path}: not a JSON checkpoint: {err}") from None
     try:
         return _model_from_payload(payload)
     except StructuralError as err:

@@ -19,6 +19,7 @@ import numpy as np
 
 import slukit
 from slukit.corpus import Dataset, Utterance
+from slukit.errors import ParseError, StructuralError
 from slukit.significance import AsoResult
 
 LABELS = ("loc", "datetime", "device", "song")
@@ -200,6 +201,63 @@ def walk_aso(a_values, b_values, alpha=0.05, n_boot=1000, seed=0, threshold=0.5)
     sigma = float(np.std(boots))
     eps_min = eps_hat - sigma * NormalDist().inv_cdf(1 - alpha)
     return AsoResult(eps_hat, sigma, eps_min, alpha, eps_min < threshold)
+
+
+# ------------------------------------------------------------ parser oracle
+
+
+def line_parse_dataset(text: str, name: str = "dataset") -> Dataset:
+    """The block-format parser as a plain line-by-line walk.
+
+    This is the package's earlier parser, kept as a reference for the bulk
+    one: every line is numbered, and every block is checked line by line.
+    The one change is the token index rule: only ``str(offset)`` is
+    accepted, so ``01`` or ``+1`` is an index error that quotes the raw
+    column, while a column ``int`` cannot read stays "not an integer".
+    """
+    utterances = []
+    block: list[tuple[int, str]] = []
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        if line == "":
+            if block:
+                utterances.append(_line_parse_block(block))
+                block = []
+        else:
+            block.append((lineno, line))
+    if block:
+        utterances.append(_line_parse_block(block))
+    return Dataset(name, tuple(utterances))
+
+
+def _line_parse_block(lines: list[tuple[int, str]]) -> Utterance:
+    headers = ("# id: ", "# text: ", "# intent: ")
+    if len(lines) < len(headers):
+        raise StructuralError(f"line {lines[0][0]}: incomplete utterance block")
+    values = []
+    for (lineno, line), header in zip(lines, headers):
+        if not line.startswith(header):
+            raise StructuralError(f"line {lineno}: expected {header.rstrip()!r} header")
+        values.append(line[len(header):])
+    utt_id, utt_text, intent = values
+    tokens, tags = [], []
+    for offset, (lineno, line) in enumerate(lines[len(headers):], start=1):
+        cols = line.split("\t")
+        if len(cols) != 3:
+            raise ParseError(
+                f"expected 3 tab-separated columns, got {len(cols)}", line=lineno
+            )
+        index_str, token, tag = cols
+        try:
+            int(index_str)
+        except ValueError:
+            raise ParseError(
+                f"token index {index_str!r} is not an integer", line=lineno
+            ) from None
+        if index_str != str(offset):
+            raise StructuralError(f"line {lineno}: token index {index_str}, expected {offset}")
+        tokens.append(token)
+        tags.append(tag)
+    return Utterance(utt_id, utt_text, tuple(tokens), tuple(tags), intent)
 
 
 # ------------------------------------------------------------- toy corpora

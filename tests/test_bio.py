@@ -35,6 +35,21 @@ class TestParseTag:
             bio.parse_tag("B-", position=3)
 
 
+class TestCheckTags:
+    def test_well_formed_passes(self):
+        assert bio.check_tags(["O", "B-a", "I-a", "I-b"]) is None
+        assert bio.check_tags(()) is None
+
+    def test_first_malformed_tag_named_with_position(self):
+        bio.check_tags(["O", "B-a"])  # known tags: the set test alone passes them
+        with pytest.raises(StructuralError, match="^malformed tag 'X-a' at position 2$"):
+            bio.check_tags(["O", "B-a", "X-a", "B-"])
+
+    def test_non_string_tag_rejected(self):
+        with pytest.raises(StructuralError, match="position 1"):
+            bio.check_tags(["O", 5])
+
+
 class TestSlotSpan:
     def test_ordering_and_equality(self):
         assert bio.SlotSpan(0, 2, "a") == bio.SlotSpan(0, 2, "a")
@@ -154,6 +169,27 @@ class TestSpanConversion:
             bio.spans_from_tags(["O", "I-a"])
         with pytest.raises(StructuralError, match="LabelSwitch at position 1"):
             bio.spans_from_tags(["B-a", "I-b"])
+
+    def test_malformed_tag_wins_over_earlier_transition_error(self):
+        with pytest.raises(StructuralError, match="^malformed tag 'bad tag' at position 1$"):
+            bio.spans_from_tags(["I-a", "bad tag"])
+
+    def test_first_violation_reported(self):
+        with pytest.raises(StructuralError, match="LabelSwitch at position 2$"):
+            bio.spans_from_tags(["B-a", "I-a", "I-b", "O", "I-c"])
+
+    @given(st.lists(st.sampled_from(["O", "B-a", "I-a", "B-b", "I-b"]), max_size=12))
+    @settings(max_examples=300, deadline=None)
+    def test_one_pass_agrees_with_tag_issues(self, tags):
+        issues = bio.tag_issues(tags)
+        if not issues:
+            spans = {(s.start, s.end, s.label) for s in bio.spans_from_tags(tags)}
+            assert spans == brute_spans(tags)
+            return
+        pos, kind = issues[0]
+        with pytest.raises(StructuralError) as err:
+            bio.spans_from_tags(tags)
+        assert str(err.value) == f"invalid BIO sequence: {kind.value} at position {pos}"
 
     def test_tags_from_spans_rejects_overlap(self):
         with pytest.raises(StructuralError, match="overlap"):

@@ -366,6 +366,24 @@ class TestTrainPredict:
         ]) == 1
         assert "error: cannot read ghost.json: No such file or directory" in capsys.readouterr().err
 
+    def test_predict_manifest_hashes_the_parsed_checkpoint(self, workdir, capsys):
+        self._write_corpus(workdir)
+        assert cli.run(self.TRAIN + ["--out", "model.json"]) == 0
+        data = (workdir / "model.json").read_bytes()
+        assert cli.run([
+            "predict", "--model", "model.json", "--in", "train.txt", "--out", "pred.txt",
+        ]) == 0
+        manifest = _manifest(workdir / "pred.txt.manifest.json")
+        assert manifest["inputs"]["model.json"] == hashlib.sha256(data).hexdigest()
+
+    def test_non_utf8_checkpoint(self, workdir, capsys):
+        self._write_corpus(workdir)
+        (workdir / "model.json").write_bytes(b"\xff{}")
+        assert cli.run([
+            "predict", "--model", "model.json", "--in", "train.txt", "--out", "pred.txt",
+        ]) == 1
+        assert "error: cannot read model.json: not UTF-8 text (byte 0)" in capsys.readouterr().err
+
     def test_model_path_is_a_directory(self, workdir, capsys):
         self._write_corpus(workdir)
         (workdir / "model.json").mkdir()

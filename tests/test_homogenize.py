@@ -4,7 +4,7 @@ import itertools
 
 import pytest
 
-from slukit import corpus, homogenize
+from slukit import bio, corpus, homogenize
 from slukit.corpus import Dataset, Utterance
 from slukit.errors import ParseError, StructuralError
 
@@ -83,6 +83,17 @@ class TestApplyLabelMap:
         out = homogenize.apply_label_map(ds, lmap)
         assert out.utterances[0].slot_tags == ("B-x", "B-x")
 
+    def test_collapsed_adjacent_spans_stay_two_spans(self):
+        ds = make_dataset([["B-city", "I-city", "B-timeRange", "I-timeRange", "O"],
+                           ["B-timeRange", "B-city"]])
+        lmap = homogenize.LabelMap({"city": "x", "timeRange": "x"}, {})
+        out = homogenize.apply_label_map(ds, lmap)
+        assert out.utterances[0].slot_tags == ("B-x", "I-x", "B-x", "I-x", "O")
+        assert bio.spans_from_tags(out.utterances[0].slot_tags) == [
+            bio.SlotSpan(0, 2, "x"), bio.SlotSpan(2, 4, "x")]
+        assert out.utterances[1].slot_tags == ("B-x", "B-x")
+        assert out.label_inventory == frozenset({"x"})
+
     def test_unmapped_labels_untouched(self):
         ds = make_dataset([["B-other", "O"]])
         out = homogenize.apply_label_map(ds, homogenize.parse_label_map(MAP_TEXT))
@@ -95,6 +106,12 @@ class TestTrimSpans:
             "t",
             (Utterance("u0", " ".join(tokens), tuple(tokens), tuple(tags), "x"),),
         )
+
+    def test_invalid_sequence_repaired_without_drop_word(self):
+        # "at" occurs, but never at a span start, so no span is trimmed
+        ds = self._utt(("at", "eight", "pm", "at"), ("O", "I-t", "I-u", "I-t"))
+        out = homogenize.trim_spans(ds, ["at"])
+        assert out.utterances[0].slot_tags == ("O", "B-t", "I-t", "I-t")
 
     def test_leading_function_word_stripped(self):
         ds = self._utt(("wake", "at", "eight"), ("O", "B-datetime", "I-datetime"))

@@ -520,6 +520,25 @@ class TestCheckpoint:
             assert arr.tobytes() == model.params[name].tobytes()
             assert arr.flags.writeable and arr.flags.owndata
 
+    def test_loads_model_parses_the_text_load_model_reads(self, tmp_path):
+        model, _ = tagger.train(overfit_corpus(), small_config(epochs=1))
+        path = tmp_path / "model.json"
+        tagger.save_model(model, path)
+        loaded = tagger.loads_model(path.read_text(encoding="utf-8"), "given/name.json")
+        assert loaded.vocab == tagger.load_model(path).vocab
+        for name, arr in tagger.load_model(path).params.items():
+            assert loaded.params[name].tobytes() == arr.tobytes()
+        with pytest.raises(StructuralError, match="^given/name.json: not a JSON checkpoint"):
+            tagger.loads_model("{", "given/name.json")
+        with pytest.raises(StructuralError, match="^given/name.json: unsupported checkpoint"):
+            tagger.loads_model('{"format_version": 1}', "given/name.json")
+
+    def test_non_utf8_checkpoint_names_path(self, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_bytes(b"\xff{}")
+        with pytest.raises(StructuralError, match="model.json: not a JSON checkpoint"):
+            tagger.load_model(path)
+
     def test_save_is_deterministic(self, tmp_path):
         model, _ = tagger.train(overfit_corpus(), small_config(epochs=1))
         a, b = tmp_path / "a.json", tmp_path / "b.json"

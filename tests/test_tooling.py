@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from slukit import cli
+from slukit import cli, corpus, tagger
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
@@ -35,20 +35,44 @@ def test_every_wrapped_name_resolves(tracer):
     assert missing == []
 
 
-def test_traced_run_reads_each_input_once(tracer, tmp_path, monkeypatch):
-    monkeypatch.chdir(tmp_path)
-    monkeypatch.delenv(cli.OUT_DIR_ENV, raising=False)
-    data = "# id: u1\n# text: a b\n# intent: none\n1\ta\tB-x\n2\tb\tO\n"
-    (tmp_path / "data.txt").write_text(data)
-    (tmp_path / "map.txt").write_text("[slots]\nx\ty\n")
+DATA = "# id: u1\n# text: a b\n# intent: none\n1\ta\tB-x\n2\tb\tO\n"
+MAP = "[slots]\nx\ty\n"
+
+
+def _traced_counts(tracer, argv):
     trace = tracer.Tracer()
     trace.install()
     try:
         trace.begin(0)
-        assert cli.run(["homogenize", "--in", "data.txt", "--map", "map.txt", "--out", "o.txt"]) == 0
+        assert cli.run(argv) == 0
     finally:
         trace.uninstall()
-    counts = trace.counts[0]
-    assert counts["cli.bytes_read"] == len(data) + len("[slots]\nx\ty\n")
-    written = (tmp_path / "o.txt").stat().st_size
-    assert counts["cli.bytes_written"] == written + (tmp_path / "o.txt.manifest.json").stat().st_size
+    return trace.counts[0]
+
+
+def test_traced_run_reads_each_input_once(tracer, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv(cli.OUT_DIR_ENV, raising=False)
+    (tmp_path / "data.txt").write_text(DATA)
+    (tmp_path / "map.txt").write_text(MAP)
+    config = tagger.TrainConfig(embed_dim=2, hidden_dim=2, epochs=1)
+    tagger.save_model(tagger.train(corpus.parse_dataset(DATA), config)[0], tmp_path / "model.json")
+    model_size = (tmp_path / "model.json").stat().st_size
+
+    def second_read(path):
+        raise AssertionError(f"{path} read again outside cli._read_text")
+
+    monkeypatch.setattr(tagger, "load_model", second_read)
+    runs = [
+        (["homogenize", "--in", "data.txt", "--map", "map.txt", "--out", "h.txt"],
+         len(DATA) + len(MAP)),
+        # the checkpoint is hashed and parsed from one read
+        (["predict", "--model", "model.json", "--in", "data.txt", "--out", "p.txt"],
+         len(DATA) + model_size),
+    ]
+    for argv, read in runs:
+        counts = _traced_counts(tracer, argv)
+        assert counts["cli.bytes_read"] == read
+        out = tmp_path / argv[-1]
+        written = out.stat().st_size + out.with_name(out.name + ".manifest.json").stat().st_size
+        assert counts["cli.bytes_written"] == written
