@@ -1,10 +1,11 @@
 """Command line entry point wiring the toolkit into file-based pipelines.
 
-``run`` does all file I/O. It checks every output path first (parent
-made, a directory rejected), so a bad path fails before any work. Each
-``_cmd_*`` handler reads through ``_read_text``, which records the sha256
-of the exact bytes it parsed, and returns ``(outputs, extras)``: per output
-flag, text or a function that writes a given path, plus manifest extras.
+``run`` does all file I/O. It checks every output path first (no two
+on one file, parent made, a directory rejected), so a bad path fails
+before any work. Each ``_cmd_*`` handler reads through ``_read_text``,
+which records the sha256 of the exact bytes it parsed, and returns
+``(outputs, extras)``: per output flag, text or a function that writes a
+given path, plus manifest extras.
 ``run`` writes the outputs atomically, then one manifest (command, flags,
 input digests, seed, tool version, extras) beside ``--out``, or in the
 working directory when there is none. SLUKIT_OUT_DIR redirects relative
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -196,29 +198,12 @@ def _cmd_train(args, digests):
     mlm_sentences = None
     if args.mlm:
         mlm_sentences = [s for s in map(str.split, _read_text(args.mlm, digests).splitlines()) if s]
-    config = tagger.TrainConfig(
-        embed_dim=args.embed_dim,
-        hidden_dim=args.hidden_dim,
-        learning_rate=args.learning_rate,
-        epochs=args.epochs,
-        batch_size=args.batch_size,
-        seed=args.seed,
-        w_intent=args.w_intent,
-        w_slot=args.w_slot,
-        w_mlm=args.w_mlm,
-        mask_rate=args.mask_rate,
-        alpha=args.alpha,
-        min_count=args.min_count,
-        batches_per_epoch=args.batches_per_epoch,
-        max_mlm_sentences=args.max_mlm_sentences,
-    )
-    model, log = tagger.train(data, config, mlm_sentences)
-    fmt = lambda v: "-" if v is None else f"{v:.6f}"
+    hyper = {f.name: getattr(args, f.name) for f in dataclasses.fields(tagger.TrainConfig)}
+    model, log = tagger.train(data, tagger.TrainConfig(**hyper), mlm_sentences)
     for entry in log:
-        print(
-            f"epoch\t{entry.epoch}\t{entry.total:.6f}"
-            f"\t{fmt(entry.intent)}\t{fmt(entry.slot)}\t{fmt(entry.mlm)}"
-        )
+        losses = [getattr(entry, task) for task in tagger.HEADS]
+        cells = ["-" if v is None else f"{v:.6f}" for v in losses]
+        print("\t".join(["epoch", str(entry.epoch), f"{entry.total:.6f}", *cells]))
     return {"out": lambda path: tagger.save_model(model, path)}, {}
 
 
@@ -340,19 +325,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mlm", help="raw text file (one tokenised sentence per line)")
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--embed-dim", type=int, default=32)
-    p.add_argument("--hidden-dim", type=int, default=32)
-    p.add_argument("--learning-rate", type=float, default=0.5)
-    p.add_argument("--epochs", type=int, default=20)
-    p.add_argument("--batch-size", type=int, default=8)
-    p.add_argument("--w-intent", type=float, default=1.0)
-    p.add_argument("--w-slot", type=float, default=1.0)
-    p.add_argument("--w-mlm", type=float, default=0.01)
-    p.add_argument("--mask-rate", type=float, default=0.15)
-    p.add_argument("--alpha", type=float, default=0.5)
-    p.add_argument("--min-count", type=int, default=1)
-    p.add_argument("--batches-per-epoch", type=int, default=None)
-    p.add_argument("--max-mlm-sentences", type=int, default=100_000)
+    for field in dataclasses.fields(tagger.TrainConfig):  # defaults live in TrainConfig only
+        if field.name != "seed":
+            kind = float if isinstance(field.default, float) else int
+            p.add_argument(f"--{field.name.replace('_', '-')}", type=kind, default=field.default)
     p.set_defaults(handler=_cmd_train)
 
     p = sub.add_parser("predict", help="tag a dataset with a trained model")
@@ -391,7 +367,13 @@ def run(argv=None) -> int:
         targets = {f: _resolve_out(getattr(args, f)) for f in OUT_FLAGS if getattr(args, f, None)}
         primary = targets.get("out") or _resolve_out(args._command)
         manifest = primary.with_name(primary.name + ".manifest.json")
-        for path in (*targets.values(), manifest):
+        roles = {f"--{flag}": path for flag, path in targets.items()} | {"the manifest": manifest}
+        claimed: dict[str, str] = {}
+        for role, path in roles.items():
+            other = claimed.setdefault(os.path.realpath(path), role)
+            if other != role:
+                raise ToolkitError(f"cannot write {path}: {role} is the same file as {other}")
+        for path in roles.values():
             _check_out(path)
         digests: dict[str, str] = {}
         outputs, extra = args.handler(args, digests)

@@ -33,6 +33,10 @@ class AlignmentRecord:
             if not (isinstance(tokens, (list, tuple)) and all(isinstance(t, str) for t in tokens)):
                 raise StructuralError(f"record {self.id!r}: {field} must be a list of strings")
             object.__setattr__(self, field, tuple(tokens))
+        try:  # JSON escapes can spell a lone surrogate, which no output can encode
+            "".join((self.id, *self.src_tokens, *self.tgt_tokens)).encode("utf-8")
+        except UnicodeEncodeError:
+            raise StructuralError(f"record {self.id!r}: lone surrogate in id or tokens") from None
         n_src, n_tgt = len(self.src_tokens), len(self.tgt_tokens)
         try:
             scores = np.array(self.scores, dtype=np.float64)

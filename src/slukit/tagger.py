@@ -29,7 +29,7 @@ import base64
 import json
 import math
 import random
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -47,6 +47,11 @@ PAD, UNK, MASK, CLS = "<pad>", "<unk>", "<mask>", "<cls>"
 RESERVED_TOKENS = (PAD, UNK, MASK, CLS)
 PAD_ID, UNK_ID, MASK_ID, CLS_ID = range(4)
 
+# The prediction heads, in parameter and log order. Head t owns the tensors
+# w_t and b_t, and TrainConfig.w_t weights its loss.
+HEADS = ("intent", "slot", "mlm")
+# Sampler tasks: labelled utterances feed the intent and slot heads, raw
+# sentences the mlm head.
 SLU_TASK = "slu"
 MLM_TASK = "mlm"
 
@@ -77,15 +82,16 @@ class Vocab:
     def __post_init__(self):
         if tuple(self.tokens[: len(RESERVED_TOKENS)]) != RESERVED_TOKENS:
             raise StructuralError("vocab must start with the reserved tokens")
-        for name, seq in (
-            ("tokens", self.tokens),
-            ("slot_tags", self.slot_tags),
-            ("intents", self.intents),
-        ):
+        for field in fields(self):
+            name, seq = field.name, getattr(self, field.name)
             if not all(isinstance(entry, str) for entry in seq):
                 raise StructuralError(f"entries in {name} must be strings")
             if len(set(seq)) != len(seq):
                 raise StructuralError(f"duplicate entries in {name}")
+            try:
+                "".join(seq).encode("utf-8")
+            except UnicodeEncodeError:
+                raise StructuralError(f"entries in {name} hold a lone surrogate") from None
         object.__setattr__(self, "_token_ids", {t: i for i, t in enumerate(self.tokens)})
         object.__setattr__(self, "_tag_ids", {t: i for i, t in enumerate(self.slot_tags)})
         object.__setattr__(self, "_intent_ids", {t: i for i, t in enumerate(self.intents)})
@@ -204,9 +210,10 @@ ModelParams = dict[str, np.ndarray]
 
 
 def _param_shapes(config: TrainConfig, vocab: Vocab) -> dict[str, tuple[int, ...]]:
+    """Every tensor's shape, in the order init_params draws them."""
     d, h = config.embed_dim, config.hidden_dim
     v = len(vocab.tokens)
-    return {
+    shapes = {
         "emb": (v, d),
         "w_fwd_in": (d, h),
         "w_fwd_state": (h, h),
@@ -214,13 +221,11 @@ def _param_shapes(config: TrainConfig, vocab: Vocab) -> dict[str, tuple[int, ...
         "w_bwd_in": (d, h),
         "w_bwd_state": (h, h),
         "b_bwd": (h,),
-        "w_intent": (2 * h, len(vocab.intents)),
-        "b_intent": (len(vocab.intents),),
-        "w_slot": (2 * h, len(vocab.slot_tags)),
-        "b_slot": (len(vocab.slot_tags),),
-        "w_mlm": (2 * h, v),
-        "b_mlm": (v,),
     }
+    for task, classes in zip(HEADS, (len(vocab.intents), len(vocab.slot_tags), v)):
+        shapes[f"w_{task}"] = (2 * h, classes)
+        shapes[f"b_{task}"] = (classes,)
+    return shapes
 
 
 def init_params(config: TrainConfig, vocab: Vocab, rng=None) -> ModelParams:
@@ -411,7 +416,7 @@ def joint_loss(
 ) -> tuple[float, dict[str, np.ndarray]]:
     """Weighted multi-task loss and dense analytic gradients for one batch.
 
-    The task weights are config.w_intent, config.w_slot and config.w_mlm.
+    Each head's weight is config.w_<head>.
     """
     loss, grads, emb_rows, _ = _loss_and_grads(params, batch, config)
     dense = {name: np.zeros_like(arr) for name, arr in params.items()}
@@ -423,11 +428,15 @@ def joint_loss(
     return loss, dense
 
 
+def _logits(params: ModelParams, task: str, feats: np.ndarray) -> np.ndarray:
+    return feats @ params[f"w_{task}"] + params[f"b_{task}"]
+
+
 def _loss_and_grads(params, batch, config):
     """Returns (loss, gradients, embedding rows, per-task mean CE dict).
 
-    Each present task contributes its config weight (w_intent, w_slot or
-    w_mlm) times its mean cross-entropy, the mean taken over that task's
+    Each head with targets in the batch contributes its config weight
+    w_<head> times its mean cross-entropy, the mean taken over that head's
     prediction units across the whole batch: sequences for intents,
     tokens for slots, masked positions for mlm.
     Gradients cover only the tensors the batch touches: the encoder
@@ -437,70 +446,44 @@ def _loss_and_grads(params, batch, config):
     batch = list(batch)
     if not batch:
         raise StructuralError("empty batch")
-    intent_rows = [b for b, ex in enumerate(batch) if ex.intent_id is not None]
-    slot_rows = [b for b, ex in enumerate(batch) if ex.slot_ids is not None]
+    intents = [(b, ex.intent_id) for b, ex in enumerate(batch) if ex.intent_id is not None]
+    has_slots = np.array([ex.slot_ids is not None for ex in batch])
     mlm_units = [(b, p, tok) for b, ex in enumerate(batch) for p, tok in ex.mlm_targets]
-    n_intent = len(intent_rows)
-    n_slot = sum(len(batch[b].slot_ids) for b in slot_rows)
-    n_mlm = len(mlm_units)
-    if n_intent == 0 and n_slot == 0 and n_mlm == 0:
+    if not intents and not has_slots.any() and not mlm_units:
         raise StructuralError("batch carries no task labels")
 
     token_states, sent, cache = _forward(params, [ex.token_ids for ex in batch])
     d_token_states = np.zeros_like(token_states)
     d_sent = np.zeros_like(sent)
+    intent_rows, intent_ids = np.array(intents, dtype=np.intp).reshape(-1, 2).T
+    slot_ids = np.array([t for ex in batch if ex.slot_ids is not None for t in ex.slot_ids],
+                        dtype=np.intp)
+    mlm_rows, positions, originals = np.array(mlm_units, dtype=np.intp).reshape(-1, 3).T
+    # One row per head, in HEADS order: the features it reads, their
+    # gradient, the index of its prediction units, and their targets.
+    table = (
+        (sent, d_sent, intent_rows, intent_ids),
+        (token_states, d_token_states, np.nonzero(cache.valid & has_slots[:, None]), slot_ids),
+        (token_states, d_token_states, (mlm_rows, positions), originals),
+    )
     grads: dict[str, np.ndarray] = {}
-    sums = {"intent": 0.0, "slot": 0.0, "mlm": 0.0}
-
-    if n_intent:
-        rows = np.array(intent_rows)
-        feats = sent[rows]
-        logits = feats @ params["w_intent"] + params["b_intent"]
-        losses, dlogits = _ce_rows(logits, np.array([batch[b].intent_id for b in intent_rows]))
-        sums["intent"] = float(losses.sum())
-        scaled = dlogits * (config.w_intent / n_intent)
-        grads["w_intent"] = feats.T @ scaled
-        grads["b_intent"] = scaled.sum(axis=0)
-        d_sent[rows] = scaled @ params["w_intent"].T
-
-    if n_slot:
-        has_slots = np.zeros(len(batch), dtype=bool)
-        has_slots[slot_rows] = True
-        where = cache.valid & has_slots[:, None]
-        feats = token_states[where]
-        logits = feats @ params["w_slot"] + params["b_slot"]
-        targets = np.concatenate([batch[b].slot_ids for b in slot_rows])
-        losses, dlogits = _ce_rows(logits, targets)
-        sums["slot"] = float(losses.sum())
-        scaled = dlogits * (config.w_slot / n_slot)
-        grads["w_slot"] = feats.T @ scaled
-        grads["b_slot"] = scaled.sum(axis=0)
-        d_token_states[where] += scaled @ params["w_slot"].T
-
-    if n_mlm:
-        mlm_rows, positions, originals = np.array(mlm_units).T
-        feats = token_states[mlm_rows, positions]
-        logits = feats @ params["w_mlm"] + params["b_mlm"]
-        losses, dlogits = _ce_rows(logits, originals)
-        sums["mlm"] = float(losses.sum())
-        scaled = dlogits * (config.w_mlm / n_mlm)
-        grads["w_mlm"] = feats.T @ scaled
-        grads["b_mlm"] = scaled.sum(axis=0)
-        d_token_states[mlm_rows, positions] += scaled @ params["w_mlm"].T
+    parts: dict[str, float | None] = dict.fromkeys(HEADS)
+    loss = 0.0
+    for task, (all_feats, d_feats, units, targets) in zip(HEADS, table):
+        if targets.size == 0:
+            continue
+        feats = all_feats[units]
+        losses, dlogits = _ce_rows(_logits(params, task, feats), targets)
+        weight = getattr(config, f"w_{task}")
+        parts[task] = float(losses.sum()) / targets.size
+        loss += weight * parts[task]
+        scaled = dlogits * (weight / targets.size)
+        grads[f"w_{task}"] = feats.T @ scaled
+        grads[f"b_{task}"] = scaled.sum(axis=0)
+        d_feats[units] += scaled @ params[f"w_{task}"].T
 
     encoder_grads, emb_rows = _backward(cache, d_token_states, d_sent)
     grads.update(encoder_grads)
-
-    parts = {
-        "intent": sums["intent"] / n_intent if n_intent else None,
-        "slot": sums["slot"] / n_slot if n_slot else None,
-        "mlm": sums["mlm"] / n_mlm if n_mlm else None,
-    }
-    weights = {"intent": config.w_intent, "slot": config.w_slot, "mlm": config.w_mlm}
-    loss = 0.0
-    for task, part in parts.items():
-        if part is not None:
-            loss += weights[task] * part
     return float(loss), grads, emb_rows, parts
 
 
@@ -533,7 +516,7 @@ def mask_tokens(token_ids, rate: float, seed: int, vocab_size: int):
 
 @dataclass(frozen=True)
 class EpochStats:
-    """Per-epoch loss log entry; task fields are None when the task drew no batch."""
+    """Per-epoch loss log entry; a head's field is None when it drew no batch."""
 
     epoch: int
     total: float
@@ -593,8 +576,8 @@ def train(
     for epoch in range(config.epochs):
         schedule = schedule_epoch(tasks, batches, config.alpha, master.randrange(2 ** 32))
         totals: list[float] = []
-        task_sums = {"intent": 0.0, "slot": 0.0, "mlm": 0.0}
-        task_batches = {"intent": 0, "slot": 0, "mlm": 0}
+        task_sums = dict.fromkeys(HEADS, 0.0)
+        task_batches = dict.fromkeys(HEADS, 0)
         for batch_index, (task, _) in enumerate(schedule.draws):
             if task == SLU_TASK:
                 picks = cyclers[SLU_TASK].next_batch(min(config.batch_size, len(slu_examples)))
@@ -623,15 +606,8 @@ def train(
                 if value is not None:
                     task_sums[part] += value
                     task_batches[part] += 1
-        log.append(
-            EpochStats(
-                epoch=epoch,
-                total=sum(totals) / len(totals) if totals else 0.0,
-                intent=task_sums["intent"] / task_batches["intent"] if task_batches["intent"] else None,
-                slot=task_sums["slot"] / task_batches["slot"] if task_batches["slot"] else None,
-                mlm=task_sums["mlm"] / task_batches["mlm"] if task_batches["mlm"] else None,
-            )
-        )
+        means = {t: task_sums[t] / task_batches[t] if task_batches[t] else None for t in HEADS}
+        log.append(EpochStats(epoch, sum(totals) / len(totals) if totals else 0.0, **means))
     return TaggerModel(config, vocab, params), log
 
 
@@ -647,8 +623,8 @@ def _decode(model: TaggerModel, id_lists) -> list[tuple[str, list[str]]]:
     """Greedy decode of a batch of id sequences in one padded forward."""
     params = model.params
     token_states, sent, cache = _forward(params, id_lists)
-    intents = np.argmax(sent @ params["w_intent"] + params["b_intent"], axis=1).tolist()
-    slot_logits = token_states[cache.valid] @ params["w_slot"] + params["b_slot"]
+    intents = np.argmax(_logits(params, "intent", sent), axis=1).tolist()
+    slot_logits = _logits(params, "slot", token_states[cache.valid])
     tags = [model.vocab.slot_tags[k] for k in np.argmax(slot_logits, axis=1).tolist()]
     out = []
     start = 0
@@ -691,11 +667,7 @@ def save_model(model: TaggerModel, path) -> None:
     payload = {
         "format_version": CHECKPOINT_VERSION,
         "config": asdict(model.config),
-        "vocab": {
-            "tokens": list(model.vocab.tokens),
-            "slot_tags": list(model.vocab.slot_tags),
-            "intents": list(model.vocab.intents),
-        },
+        "vocab": asdict(model.vocab),
         "params": {
             name: {
                 "shape": list(arr.shape),
@@ -764,11 +736,7 @@ def _model_from_payload(payload) -> TaggerModel:
     except TypeError as err:
         raise StructuralError(f"bad checkpoint config: {err}") from None
     try:
-        vocab = Vocab(
-            tokens=tuple(vocab["tokens"]),
-            slot_tags=tuple(vocab["slot_tags"]),
-            intents=tuple(vocab["intents"]),
-        )
+        vocab = Vocab(**{field.name: tuple(vocab[field.name]) for field in fields(Vocab)})
     except KeyError as err:
         raise StructuralError(f"bad checkpoint vocab: missing field {err}") from None
     except TypeError as err:

@@ -1,5 +1,6 @@
 """Command line interface: subcommands, manifests, exit codes."""
 
+import dataclasses
 import errno
 import hashlib
 import json
@@ -14,6 +15,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from slukit import cli, corpus, homogenize, metrics, significance, tagger
+from slukit.errors import StructuralError
 from slukit.tagger import load_model
 
 from support import make_dataset, package_env
@@ -163,6 +165,17 @@ class TestProject:
         ds = corpus.parse_dataset((workdir / "tgt.txt").read_text())
         assert ds.utterances[0].tokens == ("weck", "mich", "um", "acht")
         assert ds.utterances[0].slot_tags == ("O", "O", "B-datetime", "I-datetime")
+
+    def test_lone_surrogate_token(self, workdir, capsys):
+        (workdir / "src.txt").write_text(CLEAN)
+        record = json.loads(ALIGN)
+        record["tgt_tokens"][2] = "u\ud800"
+        (workdir / "align.jsonl").write_text(json.dumps(record) + "\n")  # as the escape \ud800
+        assert cli.run(["project", "--src", "src.txt", "--align", "align.jsonl",
+                        "--out", "tgt.txt"]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: record 'u1': lone surrogate in id or tokens\n"
+        assert not (workdir / "tgt.txt").exists()
 
 
 class TestHomogenizeMerge:
@@ -424,6 +437,57 @@ class TestTrainPredict:
         assert err.startswith("error: ") and message in err
 
 
+    @pytest.mark.parametrize("field", ["intents", "slot_tags"])
+    def test_lone_surrogate_in_checkpoint_vocab(self, workdir, capsys, field):
+        self._write_corpus(workdir)
+        assert cli.run(self.TRAIN + ["--out", "model.json"]) == 0
+        path = workdir / "model.json"
+        payload = json.loads(path.read_text())
+        payload["vocab"][field][-1] = "\ud800"
+        path.write_text(json.dumps(payload))  # as the escape \ud800
+        capsys.readouterr()
+        assert cli.run([
+            "predict", "--model", "model.json", "--in", "train.txt", "--out", "pred.txt",
+        ]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: model.json: entries in {field} hold a lone surrogate\n"
+        assert not (workdir / "pred.txt").exists()
+
+
+class TestTrainFlags:
+    """The train flags are TrainConfig's fields, with its defaults and types."""
+
+    REQUIRED = ["train", "--train", "train.txt", "--out", "model.json", "--seed", "3"]
+
+    def test_every_field_but_seed_has_a_flag(self):
+        parser = cli.build_parser()
+        defaults = parser.parse_args(self.REQUIRED)
+        for field in dataclasses.fields(tagger.TrainConfig):
+            assert getattr(defaults, field.name) == (3 if field.name == "seed" else field.default)
+            flag = "--" + field.name.replace("_", "-")
+            value = getattr(parser.parse_args(self.REQUIRED + [flag, "7"]), field.name)
+            kind = float if isinstance(field.default, float) else int
+            assert value == 7 and type(value) is kind, field.name
+
+    def test_seed_is_required(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.build_parser().parse_args(["train", "--train", "t.txt", "--out", "m.json"])
+        assert exc.value.code == 2
+        assert "--seed" in capsys.readouterr().err
+
+    def test_required_flags_build_the_default_config(self, workdir, monkeypatch):
+        (workdir / "train.txt").write_text(CLEAN)
+        configs = []
+
+        def record(data, config, mlm_sentences):
+            configs.append(config)
+            raise StructuralError("stop before training")
+
+        monkeypatch.setattr(tagger, "train", record)
+        assert cli.run(self.REQUIRED) == 1
+        assert configs == [tagger.TrainConfig(seed=3)]
+
+
 class TestAgreementCorrelate:
     def test_agreement(self, workdir, capsys):
         (workdir / "table.csv").write_text(
@@ -542,6 +606,21 @@ class TestOutputsCheckedFirst:
             "--out", "blocker/x.txt",
         ]) == 1
         assert "error: cannot write blocker/x.txt" in capsys.readouterr().err
+        assert sorted(os.listdir(workdir)) == listing
+
+    @pytest.mark.parametrize("flags,message", [
+        (["--out", "r.txt", "--json", "r.txt"], "r.txt: --json is the same file as --out"),
+        (["--out", "r.txt", "--json", "new/../r.txt"],
+         "new/../r.txt: --json is the same file as --out"),
+        (["--json", "evaluate.manifest.json"],
+         "evaluate.manifest.json: the manifest is the same file as --json"),
+    ])
+    def test_outputs_on_one_file(self, workdir, capsys, monkeypatch, flags, message):
+        (workdir / "gold.txt").write_text(CLEAN)
+        listing = sorted(os.listdir(workdir))
+        monkeypatch.setattr(metrics, "strict_f1", _never_called)
+        assert cli.run(["evaluate", "--gold", "gold.txt", "--pred", "gold.txt", *flags]) == 1
+        assert capsys.readouterr().err == f"error: cannot write {message}\n"
         assert sorted(os.listdir(workdir)) == listing
 
 

@@ -240,7 +240,7 @@ def block_text(draw) -> str:
         pos = draw(st.integers(0, len(text)))
         text = text[:pos] + "\t" + text[pos:]
     elif kind == "garbled":  # byte edits, decoded as a lenient reader would
-        data = bytearray(text.encode())
+        data = bytearray(text.encode("utf-8", "surrogatepass"))  # TOKENS can draw lone surrogates
         for _ in range(draw(st.integers(1, 4))):
             pos = draw(st.integers(0, len(data)))
             cut = draw(st.integers(0, 3))

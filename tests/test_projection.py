@@ -68,6 +68,17 @@ class TestAlignmentRecord:
             with pytest.raises(StructuralError, match="record 'bad': src_tokens must be"):
                 projection.AlignmentRecord("bad", src, ("x",), ((1.0,), (2.0,)))
 
+    def test_lone_surrogate_rejected(self):
+        # a JSON escape such as "\ud800" decodes to a string no output can encode
+        for rec_id, src, tgt in (("r\ud800", ("a",), ("x",)), ("r", ("\udfff",), ("x",)),
+                                 ("r", ("a",), ("x\ud800",))):
+            with pytest.raises(StructuralError, match="lone surrogate in id or tokens"):
+                projection.AlignmentRecord(rec_id, src, tgt, ((1.0,),))
+        pair = "\ud83d\ude00"  # a surrogate pair in JSON is one valid character
+        rec = projection.parse_alignments(json.dumps(
+            {"id": "r", "src_tokens": ["a"], "tgt_tokens": [pair], "scores": [[1.0]]}))[0]
+        assert rec.tgt_tokens == ("\U0001f600",)
+
 
 class TestProjectLabels:
     def test_identity_preserves_tags(self):

@@ -58,6 +58,15 @@ class TestVocab:
             with pytest.raises(StructuralError, match=f"entries in {name} must be strings"):
                 tagger.Vocab(tokens, tags, intents)
 
+    def test_lone_surrogate_rejected(self):
+        for tokens, tags, intents, name in (
+            (tagger.RESERVED_TOKENS + ("a\ud800",), ("O",), ("x",), "tokens"),
+            (tagger.RESERVED_TOKENS, ("O", "B-\udc00"), ("x",), "slot_tags"),
+            (tagger.RESERVED_TOKENS, ("O",), ("\ud800",), "intents"),
+        ):
+            with pytest.raises(StructuralError, match=f"entries in {name} hold a lone surrogate"):
+                tagger.Vocab(tokens, tags, intents)
+
     def test_unknown_token_falls_back(self):
         vocab = small_vocab()
         assert vocab.token_id("alpha") == 4
