@@ -273,6 +273,17 @@ def _cmd_significance(args, digests):
     return {"out": text, "json": json_text}, {}
 
 
+def _count(text: str) -> int:
+    """argparse type of a count flag: an int >= 1, so a usage error names the flag."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="slukit",
@@ -314,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("schedule", help="draw one epoch of task batches")
     p.add_argument("--names", required=True, help="comma-separated task names")
     p.add_argument("--sizes", required=True, help="comma-separated task sizes")
-    p.add_argument("--batches", type=int, required=True)
+    p.add_argument("--batches", type=_count, required=True)
     p.add_argument("--alpha", type=float, default=0.5)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", help="write the full schedule as JSON")
@@ -352,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--baseline", required=True)
     p.add_argument("--metric", help="metric to compare (required when the file has several)")
     p.add_argument("--alpha", type=float, default=0.05)
-    p.add_argument("--boot", type=int, default=1000)
+    p.add_argument("--boot", type=_count, default=1000)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", help="write the text table here as well")
     p.add_argument("--json", help="write the JSON table here")

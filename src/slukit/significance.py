@@ -113,10 +113,14 @@ def aso(
         epsilon_min = epsilon_hat - sigma * InverseNormal(1 - alpha).
 
     Dominance of a over b is declared when epsilon_min < threshold. The
-    result is deterministic for a given seed. Samples with identical
-    empirical distributions carry no evidence either way: they return
-    the degenerate epsilon 0.5 with sigma 0 and skip the bootstrap, so
-    resampling noise cannot manufacture a dominance claim.
+    result is deterministic for a given seed: replicate k draws n indices
+    into a, then m into b. A block's single ``integers`` call gives each
+    element its own bound, and numpy fills the array in C order with the
+    scalar-bound routine, so it consumes the stream exactly as one call
+    per sample would. Samples with identical empirical distributions
+    carry no evidence either way: they return the degenerate epsilon 0.5
+    with sigma 0 and skip the bootstrap, so resampling noise cannot
+    manufacture a dominance claim.
     """
     if not 0.0 < alpha < 1.0:
         raise StructuralError("alpha must be in (0, 1)")
@@ -127,17 +131,17 @@ def aso(
     if total[0] == 0.0:
         return AsoResult(0.5, 0.0, 0.5, alpha, 0.5 < threshold)
     eps_hat = float(violation[0] / total[0])
+    try:
+        boots = np.empty(n_boot)
+    except (ValueError, MemoryError):
+        raise StructuralError(f"n_boot {n_boot} is too large to hold") from None
     rng = np.random.default_rng(seed)
     n, m = av.size, bv.size
-    ia = np.empty((BOOT_BLOCK, n), dtype=np.int64)
-    ib = np.empty((BOOT_BLOCK, m), dtype=np.int64)
-    boots = np.empty(n_boot)
+    high = np.repeat([n, m], [n, m])  # row k: replicate k's a-indices, then its b-indices
     for start in range(0, n_boot, BOOT_BLOCK):
         rows = min(BOOT_BLOCK, n_boot - start)
-        for k in range(rows):  # one draw pair per replicate keeps the seed's stream
-            ia[k] = rng.integers(0, n, n)
-            ib[k] = rng.integers(0, m, m)
-        violation, total = _masses(np.sort(av[ia[:rows]]), np.sort(bv[ib[:rows]]))
+        draws = rng.integers(0, np.broadcast_to(high, (rows, n + m)))
+        violation, total = _masses(np.sort(av[draws[:, :n]]), np.sort(bv[draws[:, n:]]))
         boots[start:start + rows] = np.divide(
             violation, total, out=np.full(rows, 0.5), where=total != 0.0
         )
@@ -181,6 +185,8 @@ def compare_table(
         if (baseline, lang) not in scores:
             raise StructuralError(f"baseline {baseline!r} has no sample for language {lang!r}")
     systems = sorted({sys for sys, _ in scores if sys != baseline})
+    if not 0.0 < alpha < 1.0:
+        raise StructuralError("alpha must be in (0, 1)")
     adjusted = alpha / len(languages)
     seeder = random.Random(seed)
     results: dict[tuple[str, str], AsoResult] = {}

@@ -561,6 +561,32 @@ class TestSignificance:
             "--seed", "0", "--metric", "f1",
         ]) == 0
 
+    @pytest.mark.parametrize("flags,message", [
+        (["--alpha", "1.5"], "error: alpha must be in (0, 1)"),
+        (["--boot", "100000000000000000000"], "error: n_boot 100000000000000000000 is too large"),
+    ])
+    def test_out_of_range_values_exit_one(self, workdir, capsys, flags, message):
+        two_languages = SCORES_CSV + SCORES_CSV.split("\n", 1)[1].replace(",de,", ",it,")
+        (workdir / "scores.csv").write_text(two_languages)  # alpha 1.5 adjusts to 0.75
+        assert cli.run([
+            "significance", "--scores", "scores.csv", "--baseline", "base", "--seed", "0", *flags,
+        ]) == 1
+        assert message in capsys.readouterr().err
+
+
+class TestCountFlags:
+    @pytest.mark.parametrize("argv,flag", [
+        (["significance", "--scores", "s.csv", "--baseline", "b", "--seed", "0", "--boot", "0"],
+         "--boot"),
+        (["schedule", "--names", "a", "--sizes", "1", "--seed", "0", "--batches", "-1"],
+         "--batches"),
+    ])
+    def test_below_one_is_a_usage_error_naming_the_flag(self, workdir, capsys, argv, flag):
+        with pytest.raises(SystemExit) as exit_info:
+            cli.run(argv)
+        assert exit_info.value.code == 2
+        assert f"error: argument {flag}: must be >= 1" in capsys.readouterr().err
+
 
 class TestNewlines:
     @pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["crlf", "cr"])

@@ -193,6 +193,30 @@ class TestAso:
         with pytest.raises(StructuralError, match="n_boot"):
             significance.aso(a, b, n_boot=0)
 
+    @pytest.mark.parametrize("n_boot", [10 ** 20, 2 * 10 ** 18])
+    def test_n_boot_too_large_to_hold(self, n_boot):
+        with pytest.raises(StructuralError, match=f"n_boot {n_boot} is too large"):
+            significance.aso(_sample([1, 2]), _sample([0, 1]), n_boot=n_boot)
+
+
+class TestBlockDraw:
+    """The property ``aso`` relies on: one call with per-element bounds keeps the stream."""
+
+    def test_broadcast_bounds_equal_per_replicate_calls(self):
+        rng = random.Random(58)
+        block = significance.BOOT_BLOCK
+        for _ in range(200):
+            n, m = rng.randint(2, 40), rng.randint(2, 40)
+            rows = rng.choice((1, block - 1, block, block + 1, 600))
+            seed = rng.randrange(2 ** 32)
+            batched, scalar = np.random.default_rng(seed), np.random.default_rng(seed)
+            high = np.repeat([n, m], [n, m])
+            draws = batched.integers(0, np.broadcast_to(high, (rows, n + m)))
+            for k in range(rows):
+                assert draws[k, :n].tolist() == scalar.integers(0, n, n).tolist()
+                assert draws[k, n:].tolist() == scalar.integers(0, m, m).tolist()
+            assert batched.integers(0, 2 ** 62) == scalar.integers(0, 2 ** 62)
+
 
 class TestAsoOracle:
     """Exact equality with the breakpoint-walk oracle in tests/support.py."""
@@ -225,6 +249,14 @@ class TestAsoOracle:
             assert significance.aso(_sample(a), _sample(b), n_boot=20, seed=5) == walk_aso(
                 a, b, n_boot=20, seed=5
             )
+
+    def test_larger_samples_across_blocks_equal_walk(self):
+        rng = random.Random(59)
+        a = [round(rng.gauss(0, 1), 3) for _ in range(20)]
+        b = [round(rng.gauss(0.1, 1), 3) for _ in range(37)]
+        n_boot = significance.BOOT_BLOCK + 1
+        result = significance.aso(_sample(a), _sample(b), n_boot=n_boot, seed=21)
+        assert result == walk_aso(a, b, n_boot=n_boot, seed=21)
 
     def test_same_distribution_different_sizes_is_degenerate(self):
         result = significance.aso(_sample([1, 2]), _sample([1, 1, 2, 2]), seed=6)
@@ -290,6 +322,11 @@ class TestCompareTable:
     def test_empty(self):
         with pytest.raises(StructuralError, match="no scores"):
             significance.compare_table({}, "base")
+
+    @pytest.mark.parametrize("alpha", [1.5, 1.0])
+    def test_alpha_out_of_range(self, alpha):
+        with pytest.raises(StructuralError, match=r"alpha must be in \(0, 1\)"):
+            significance.compare_table(self._scores(), "base", alpha=alpha)
 
 
 class TestScoresCsv:
