@@ -107,7 +107,11 @@ def _digest(path: str) -> str:
 
 
 def _load_dataset(path: str, digests: dict[str, str]) -> corpus.Dataset:
-    return corpus.parse_dataset(_read_text(path, digests), name=Path(path).stem)
+    text = _read_text(path, digests)
+    try:
+        return corpus.parse_dataset(text, name=Path(path).stem)
+    except ToolkitError as err:
+        raise ToolkitError(f"{path}: {err}") from None
 
 
 def _load_model(path: str, digests: dict[str, str]) -> tagger.TaggerModel:

@@ -1,5 +1,8 @@
 """Utterance data model and its tab-separated block file format.
 
+An ``Utterance`` is a plain, immutable record; a ``Dataset`` is the one
+place where rows are checked, all of them in bulk, whenever one is built.
+
 One utterance per block, blocks separated by exactly one blank line::
 
     # id: <id>
@@ -18,6 +21,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from . import bio
 from .errors import ParseError, StructuralError
@@ -29,15 +33,11 @@ _ROWS_RE = re.compile(r"[^\t\n]*\t[^\t\n]*\t[^\t\n]*(?:\n[^\t\n]*\t[^\t\n]*\t[^\
 _INDEX = [str(k) for k in range(1, 513)]  # the only accepted token index strings, in order
 
 
-@dataclass(frozen=True)
-class Utterance:
-    """A single annotated sentence.
+class Utterance(NamedTuple):
+    """A single annotated sentence: a plain, immutable record.
 
-    Tags must be lexically well-formed BIO (``O`` / ``B-x`` / ``I-x``);
-    transition-level validity is deliberately not enforced here, that is
-    what validate and bio.repair are for. Metadata fields may not contain
-    newlines and tokens may not contain tabs, since either would break
-    the file format round trip.
+    An Utterance checks nothing itself; the ``Dataset`` that holds it
+    checks it (see ``Dataset``).
     """
 
     id: str
@@ -46,35 +46,51 @@ class Utterance:
     slot_tags: tuple[str, ...]
     intent: str
 
-    def __post_init__(self):
-        object.__setattr__(self, "tokens", tuple(self.tokens))
-        object.__setattr__(self, "slot_tags", tuple(self.slot_tags))
-        if len(self.tokens) == 0:
-            raise StructuralError(f"utterance {self.id!r} has no tokens")
-        if len(self.slot_tags) != len(self.tokens):
-            raise StructuralError(
-                f"utterance {self.id!r}: {len(self.tokens)} tokens "
-                f"but {len(self.slot_tags)} tags"
-            )
-        for name, value in (("id", self.id), ("text", self.text), ("intent", self.intent)):
-            if "\n" in value:
-                raise StructuralError(f"utterance {self.id!r}: newline in {name} field")
-        joined = "".join(self.tokens)
-        if "\t" in joined or "\n" in joined:
-            bad = next(tok for tok in self.tokens if "\t" in tok or "\n" in tok)
-            raise StructuralError(
-                f"utterance {self.id!r}: token {bad!r} contains tab or newline"
-            )
-        bio.check_tags(self.slot_tags)
+
+def _check_row(utt: Utterance) -> None:
+    """Raise the first problem of one row as a StructuralError that names its id.
+
+    The checks run in a fixed order: tokens present, one tag per token,
+    no newline in the id, text or intent, no tab or newline in a token,
+    then each tag lexically well-formed BIO (``O`` / ``B-x`` / ``I-x``).
+    Transition-level validity is not checked; that is what validate and
+    bio.repair are for.
+    """
+    if len(utt.tokens) == 0:
+        raise StructuralError(f"utterance {utt.id!r} has no tokens")
+    if len(utt.slot_tags) != len(utt.tokens):
+        raise StructuralError(
+            f"utterance {utt.id!r}: {len(utt.tokens)} tokens but {len(utt.slot_tags)} tags"
+        )
+    for name, value in (("id", utt.id), ("text", utt.text), ("intent", utt.intent)):
+        if "\n" in value:
+            raise StructuralError(f"utterance {utt.id!r}: newline in {name} field")
+    for tok in utt.tokens:
+        if "\t" in tok or "\n" in tok:
+            raise StructuralError(f"utterance {utt.id!r}: token {tok!r} contains tab or newline")
+    try:
+        bio.check_tags(utt.slot_tags)
+    except StructuralError as err:
+        raise StructuralError(f"utterance {utt.id!r}: {err}") from None
 
 
 @dataclass(frozen=True)
 class Dataset:
     """An ordered collection of utterances plus derived label inventories.
 
-    Inventories are computed at construction, so they always equal the
-    union of labels observed in the utterances. Duplicate utterances are
-    retained as distinct records.
+    Dataset is the one place where rows are checked, and every Dataset
+    checks every row it is given, in bulk: row lengths, one join over all
+    tokens, one over all metadata, and the union of all tags. Only when a
+    bulk test fails are the rows walked in order, so the error names the
+    first bad row's id (see ``_check_row``). A metadata field may not hold
+    a newline and a token may not hold a tab or newline, since either
+    would break the file format round trip.
+
+    Each row is stored as an ``Utterance`` whose tokens and slot_tags are
+    tuples; a row given in another form (a list of tokens, a plain
+    5-tuple) is converted. Inventories are computed at construction, so
+    they always equal the union of labels observed in the utterances.
+    Duplicate utterances are retained as distinct records.
     """
 
     name: str
@@ -83,12 +99,37 @@ class Dataset:
     intent_inventory: frozenset[str] = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "utterances", tuple(self.utterances))
-        tags = set().union(*(utt.slot_tags for utt in self.utterances))
-        labels = {bio.parse_tag(tag)[1] for tag in tags} - {None}
-        object.__setattr__(self, "label_inventory", frozenset(labels))
-        intents = frozenset(utt.intent for utt in self.utterances)
-        object.__setattr__(self, "intent_inventory", intents)
+        utts = tuple(self.utterances)
+        ids, texts, tokens, tags, intents = zip(*utts) if utts else ((),) * 5
+        if not (  # rows in another form are rebuilt as Utterances of tuples
+            {Utterance} >= set(map(type, utts))
+            and {tuple} >= set(map(type, tokens)).union(map(type, tags))
+        ):
+            utts = tuple(Utterance(i, t, tuple(k), tuple(g), n) for i, t, k, g, n in utts)
+            tokens = [utt.tokens for utt in utts]
+            tags = [utt.slot_tags for utt in utts]
+        object.__setattr__(self, "utterances", utts)
+        # bulk tests over whole columns; any failure walks the rows in order
+        tag_set = set().union(*tags)
+        try:
+            labels = {bio.parse_tag(tag)[1] for tag in tag_set}
+        except StructuralError:
+            labels = None
+        lengths = list(map(len, tokens))
+        joined = "".join(map("".join, tokens))
+        if (
+            labels is None
+            or not all(lengths)
+            or lengths != list(map(len, tags))
+            or "\t" in joined
+            or "\n" in joined
+            or "\n" in "".join(ids + texts + intents)
+        ):
+            for utt in utts:
+                _check_row(utt)
+            raise AssertionError("rows failed the bulk checks but passed the row checks")
+        object.__setattr__(self, "label_inventory", frozenset(labels - {None}))
+        object.__setattr__(self, "intent_inventory", frozenset(intents))
 
     def __len__(self) -> int:
         return len(self.utterances)
@@ -128,10 +169,11 @@ def parse_dataset(text: str, name: str = "dataset") -> Dataset:
             cells = lines[3].replace("\n", "\t").split("\t")
             if cells[0::3] == _indices(len(cells) // 3):
                 utterances.append(Utterance(
-                    lines[0][len(_ID):], lines[1][len(_TEXT):], cells[1::3], cells[2::3],
-                    lines[2][len(_INTENT):],
+                    lines[0][len(_ID):], lines[1][len(_TEXT):], tuple(cells[1::3]),
+                    tuple(cells[2::3]), lines[2][len(_INTENT):],
                 ))
                 continue
+        Dataset(name, utterances)  # a bad row in an earlier block is reported first
         first = text.count("\n", 0, match.start()) + 1
         _block_error(list(enumerate(match.group().split("\n"), start=first)))
     return Dataset(name, tuple(utterances))
@@ -166,7 +208,7 @@ def _block_error(lines: list[tuple[int, str]]) -> None:
                 ) from None
             raise StructuralError(f"line {lineno}: token index {index_str}, expected {offset}")
     utt_id, utt_text, intent = values
-    Utterance(utt_id, utt_text, (), (), intent)  # a block with no token lines: raises
+    _check_row(Utterance(utt_id, utt_text, (), (), intent))  # a block with no token lines
     raise AssertionError("a block failed the bulk checks but passed the line checks")
 
 

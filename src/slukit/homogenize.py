@@ -109,7 +109,8 @@ def trim_spans(ds: Dataset, leading_tokens) -> Dataset:
     case-insensitive, a span whose tokens are all stripped is dropped,
     and tag sequences are repaired before extraction so unclean input
     does not abort the cleanup. An utterance with no span-initial drop
-    word keeps its repaired tags.
+    word keeps its repaired tags; one that this leaves unchanged is
+    passed through as it is.
     """
     drop = {t.lower() for t in leading_tokens}
     out = []
@@ -124,7 +125,11 @@ def trim_spans(ds: Dataset, leading_tokens) -> Dataset:
                 if start < span.end:
                     kept.append(bio.SlotSpan(start, span.end, span.label))
             tags = bio.tags_from_spans(kept, len(utt.tokens))
-        out.append(Utterance(utt.id, utt.text, utt.tokens, tuple(tags), utt.intent))
+        tags = tuple(tags)
+        out.append(
+            utt if tags == utt.slot_tags
+            else Utterance(utt.id, utt.text, utt.tokens, tags, utt.intent)
+        )
     return Dataset(ds.name, tuple(out))
 
 

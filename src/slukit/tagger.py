@@ -662,26 +662,33 @@ def save_model(model: TaggerModel, path) -> None:
     inventories and ``params``, where each tensor is ``{"shape": [...],
     "dtype": "<f8", "data": ...}`` and ``data`` is the base64 of the
     tensor's little-endian float64 bytes in C order. Equal models give
-    byte-identical files.
+    byte-identical files: the bytes ``json.dump(..., sort_keys=True)``
+    writes for the whole object, then a newline. The object is written
+    in that key order one tensor at a time, and each tensor's base64 in
+    pieces, so no whole encoded tensor is held in memory.
     """
-    payload = {
-        "format_version": CHECKPOINT_VERSION,
-        "config": asdict(model.config),
-        "vocab": asdict(model.vocab),
-        "params": {
-            name: {
-                "shape": list(arr.shape),
-                "dtype": TENSOR_DTYPE,
-                "data": base64.b64encode(
-                    arr.astype(TENSOR_DTYPE, copy=False).tobytes()
-                ).decode("ascii"),
-            }
-            for name, arr in model.params.items()
-        },
-    }
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, sort_keys=True)
-        handle.write("\n")
+    with open(path, "w", encoding="utf-8") as handle:  # keys in sort_keys order
+        handle.write('{"config": ' + json.dumps(asdict(model.config), sort_keys=True))
+        handle.write(f', "format_version": {json.dumps(CHECKPOINT_VERSION)}, "params": ')
+        _write_params(handle, model.params)
+        handle.write(', "vocab": ' + json.dumps(asdict(model.vocab), sort_keys=True) + "}\n")
+
+
+_B64_PIECE = 3 << 16  # bytes per base64 call; a multiple of 3, so the pieces join exactly
+
+
+def _write_params(handle, params: dict[str, np.ndarray]) -> None:
+    """Write the ``params`` object in sorted-key order, each tensor's base64 in pieces."""
+    handle.write("{")
+    for k, name in enumerate(sorted(params)):
+        arr = params[name]
+        data = memoryview(np.ascontiguousarray(arr, dtype=TENSOR_DTYPE)).cast("B")
+        handle.write(("" if k == 0 else ", ") + json.dumps(name) + ': {"data": "')
+        for start in range(0, len(data), _B64_PIECE):
+            handle.write(base64.b64encode(data[start : start + _B64_PIECE]).decode("ascii"))
+        shape = json.dumps(list(arr.shape))
+        handle.write(f'", "dtype": {json.dumps(TENSOR_DTYPE)}, "shape": {shape}}}')
+    handle.write("}")
 
 
 def load_model(path) -> TaggerModel:

@@ -211,9 +211,11 @@ def line_parse_dataset(text: str, name: str = "dataset") -> Dataset:
 
     This is the package's earlier parser, kept as a reference for the bulk
     one: every line is numbered, and every block is checked line by line.
-    The one change is the token index rule: only ``str(offset)`` is
+    The token index rule has changed since: only ``str(offset)`` is
     accepted, so ``01`` or ``+1`` is an index error that quotes the raw
     column, while a column ``int`` cannot read stays "not an integer".
+    Each row is checked as its block is read (a one-row Dataset), so a
+    bad row is reported ahead of any error in a later block.
     """
     utterances = []
     block: list[tuple[int, str]] = []
@@ -257,7 +259,9 @@ def _line_parse_block(lines: list[tuple[int, str]]) -> Utterance:
             raise StructuralError(f"line {lineno}: token index {index_str}, expected {offset}")
         tokens.append(token)
         tags.append(tag)
-    return Utterance(utt_id, utt_text, tuple(tokens), tuple(tags), intent)
+    row = Utterance(utt_id, utt_text, tuple(tokens), tuple(tags), intent)
+    Dataset("row", (row,))  # checks the row
+    return row
 
 
 # ------------------------------------------------------------- toy corpora

@@ -88,6 +88,13 @@ class TestValidate:
         assert cli.run(["validate", "--in", "nope.txt"]) == 1
         assert "error: cannot read nope.txt" in capsys.readouterr().err
 
+    def test_malformed_tag_names_path_and_utterance(self, workdir, capsys):
+        (workdir / "bad.conll").write_text(CLEAN.replace("3\tat\tB-datetime", "3\tat\tB-"))
+        assert cli.run(["validate", "--in", "bad.conll"]) == 1
+        assert capsys.readouterr().err == (
+            "error: bad.conll: utterance 'u1': malformed tag 'B-' at position 2\n"
+        )
+
     def test_usage_error_exit_code(self, workdir):
         with pytest.raises(SystemExit) as exc:
             cli.run(["validate"])
@@ -208,6 +215,14 @@ class TestHomogenizeMerge:
         manifest = _manifest(workdir / "merged.txt.manifest.json")
         assert manifest["rng"] == homogenize.RNG_ALGORITHM
         assert manifest["seed"] == 5
+
+    def test_merge_parse_error_names_the_input(self, workdir, capsys):
+        (workdir / "ok.conll").write_text(CLEAN)
+        bad = CLEAN + "\n" + DIRTY.replace("# text: a b\n", "")
+        (workdir / "bad2.conll").write_text(bad)
+        assert cli.run(["merge", "ok.conll", "bad2.conll", "--out", "m.txt", "--seed", "1"]) == 1
+        assert capsys.readouterr().err == "error: bad2.conll: line 10: expected '# text:' header\n"
+        assert not (workdir / "m.txt").exists()
 
     def test_merge_matches_library(self, workdir):
         (workdir / "a.txt").write_text(CLEAN)

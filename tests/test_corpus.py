@@ -27,52 +27,135 @@ SAMPLE = (
 )
 
 
+def _one_row(*fields):
+    """A Dataset of the one row given; Dataset is where rows are checked."""
+    return corpus.Dataset("d", [corpus.Utterance(*fields)])
+
+
+def _row_error(*fields) -> str:
+    with pytest.raises(StructuralError) as err:
+        _one_row(*fields)
+    return str(err.value)
+
+
 class TestUtterance:
+    """The row checks, made where every row is checked: at Dataset construction."""
+
     def test_fields_coerced_to_tuples(self):
-        utt = corpus.Utterance("a", "x y", ["x", "y"], ["O", "O"], "none")
-        assert utt.tokens == ("x", "y")
-        assert utt.slot_tags == ("O", "O")
+        (utt,) = _one_row("a", "x y", ["x", "y"], ["O", "O"], "none").utterances
+        assert type(utt.tokens) is tuple and utt.tokens == ("x", "y")
+        assert type(utt.slot_tags) is tuple and utt.slot_tags == ("O", "O")
 
     def test_no_tokens(self):
-        with pytest.raises(StructuralError, match="no tokens"):
-            corpus.Utterance("a", "", (), (), "none")
+        assert _row_error("a", "", (), (), "none") == "utterance 'a' has no tokens"
 
     def test_length_mismatch(self):
-        with pytest.raises(StructuralError, match="2 tokens"):
-            corpus.Utterance("a", "x y", ("x", "y"), ("O",), "none")
+        assert _row_error("a", "x y", ("x", "y"), ("O",), "none") == (
+            "utterance 'a': 2 tokens but 1 tags"
+        )
 
     def test_newline_in_metadata(self):
-        with pytest.raises(StructuralError, match="newline"):
-            corpus.Utterance("a", "x\ny", ("x",), ("O",), "none")
+        assert _row_error("a", "x\ny", ("x",), ("O",), "none") == (
+            "utterance 'a': newline in text field"
+        )
 
     def test_tab_in_token(self):
-        with pytest.raises(StructuralError, match="tab"):
-            corpus.Utterance("a", "x", ("x\ty",), ("O",), "none")
+        assert _row_error("a", "x", ("x\ty",), ("O",), "none") == (
+            "utterance 'a': token 'x\\ty' contains tab or newline"
+        )
 
     def test_malformed_tag(self):
-        with pytest.raises(StructuralError):
-            corpus.Utterance("a", "x", ("x",), ("B-",), "none")
+        assert _row_error("a", "x", ("x",), ("B-",), "none") == (
+            "utterance 'a': malformed tag 'B-' at position 0"
+        )
 
     def test_names_first_bad_token(self):
         tokens = ("x", "y\tz", "w\nv")
-        with pytest.raises(StructuralError) as err:
-            corpus.Utterance("a", "x", tokens, ("O", "O", "O"), "none")
-        assert str(err.value) == "utterance 'a': token 'y\\tz' contains tab or newline"
+        assert _row_error("a", "x", tokens, ("O", "O", "O"), "none") == (
+            "utterance 'a': token 'y\\tz' contains tab or newline"
+        )
 
     def test_names_first_bad_tag_position(self):
         # "O" and "B-loc" are known tags, so only the new ones send the
         # check down its positional scan
         bio.parse_tag("B-loc")
         tags = ("O", "B-loc", "B-", "I-a b")
-        with pytest.raises(StructuralError) as err:
-            corpus.Utterance("a", "w x y z", ("w", "x", "y", "z"), tags, "none")
-        assert str(err.value) == "malformed tag 'B-' at position 2"
+        assert _row_error("a", "w x y z", ("w", "x", "y", "z"), tags, "none") == (
+            "utterance 'a': malformed tag 'B-' at position 2"
+        )
 
     def test_invalid_transitions_allowed(self):
         # lexially fine but invalid BIO is a validate() concern, not a
         # construction error
-        utt = corpus.Utterance("a", "x y", ("x", "y"), ("O", "I-a"), "none")
+        (utt,) = _one_row("a", "x y", ("x", "y"), ("O", "I-a"), "none").utterances
         assert utt.slot_tags == ("O", "I-a")
+
+    def test_utterance_itself_is_a_plain_record(self):
+        utt = corpus.Utterance("a", "", (), ("B-",), "x\ny")
+        assert tuple(utt) == ("a", "", (), ("B-",), "x\ny")
+
+    @pytest.mark.parametrize("fields, message", [
+        (("a", "x", ("x",), ("O",), "i\nj"), "utterance 'a': newline in intent field"),
+        (("a\nb", "x", ("x",), ("O",), "i"), "utterance 'a\\nb': newline in id field"),
+        (("a", "x", ("x\n",), ("O",), "i"), "utterance 'a': token 'x\\n' contains tab or newline"),
+        (("a", "x", ("x",), ("O", "O"), "i"), "utterance 'a': 1 tokens but 2 tags"),
+    ])
+    def test_each_check_is_made(self, fields, message):
+        assert _row_error(*fields) == message
+
+    def test_checks_run_in_row_order(self):
+        # each row has one problem; a later check on an earlier row wins
+        rows = [
+            corpus.Utterance("ok", "x", ("x",), ("O",), "i"),
+            corpus.Utterance("r1", "x", ("x",), ("B-",), "i"),
+            corpus.Utterance("r2", "x", (), (), "i"),
+            corpus.Utterance("r3", "x", ("x\t",), ("O",), "i"),
+        ]
+        with pytest.raises(StructuralError) as err:
+            corpus.Dataset("d", rows)
+        assert str(err.value) == "utterance 'r1': malformed tag 'B-' at position 0"
+
+    def test_within_a_row_the_earlier_check_wins(self):
+        assert _row_error("a", "x\ny", ("x\t",), ("B-",), "none") == (
+            "utterance 'a': newline in text field"
+        )
+
+    def test_every_dataset_checks_its_rows(self):
+        good = corpus.Utterance("a", "x", ("x",), ("O",), "i")
+        bad = good._replace(slot_tags=("I-",))
+        ds = corpus.Dataset("d", [good])
+        with pytest.raises(StructuralError, match="^utterance 'a': malformed tag 'I-'"):
+            corpus.Dataset(ds.name, [*ds, bad])
+
+
+class TestRowContract:
+    """Rows inside a Dataset are Utterances whose tokens and tags are tuples."""
+
+    def test_lists_and_plain_tuples_converted(self):
+        rows = [
+            ("a", "x y", ["x", "y"], ["O", "B-l"], "i"),
+            corpus.Utterance("b", "z", ("z",), ("O",), "j"),
+            ["c", "w", ["w"], ("O",), "i"],
+        ]
+        ds = corpus.Dataset("d", rows)
+        assert all(type(utt) is corpus.Utterance for utt in ds)
+        assert all(type(utt.tokens) is tuple and type(utt.slot_tags) is tuple for utt in ds)
+        assert [tuple(utt) for utt in ds] == [
+            ("a", "x y", ("x", "y"), ("O", "B-l"), "i"),
+            ("b", "z", ("z",), ("O",), "j"),
+            ("c", "w", ("w",), ("O",), "i"),
+        ]
+        assert ds.label_inventory == frozenset({"l"})
+        assert len({hash(utt) for utt in ds}) == 3  # tuple fields: every row hashes
+
+    def test_canonical_rows_kept_as_given(self):
+        rows = (corpus.Utterance("a", "x", ("x",), ("O",), "i"),)
+        assert corpus.Dataset("d", rows).utterances[0] is rows[0]
+
+    def test_converted_rows_are_checked(self):
+        with pytest.raises(StructuralError) as err:
+            corpus.Dataset("d", [("a", "x", ["x\t"], ["O"], "i")])
+        assert str(err.value) == "utterance 'a': token 'x\\t' contains tab or newline"
 
 
 class TestDataset:
@@ -201,6 +284,33 @@ class TestParse:
         bad = SAMPLE.replace("3\tat\tB-datetime", "3\tat\tB-")
         with pytest.raises(StructuralError):
             corpus.parse_dataset(bad)
+
+    def test_malformed_tag_names_the_utterance(self):
+        bad = SAMPLE.replace("3\tat\tB-datetime", "3\tat\tB-")
+        with pytest.raises(StructuralError) as err:
+            corpus.parse_dataset(bad)
+        assert str(err.value) == "utterance 'u1': malformed tag 'B-' at position 2"
+
+    def test_bad_row_wins_over_a_later_block_error(self):
+        # a malformed tag in block 1 is reported ahead of a header error in block 3
+        bad = SAMPLE.replace("3\tat\tB-datetime", "3\tat\tB-") + (
+            "\n# id: u3\n# intent: none\n# text: x\n1\tx\tO\n"
+        )
+        with pytest.raises(StructuralError) as err:
+            corpus.parse_dataset(bad)
+        assert str(err.value) == "utterance 'u1': malformed tag 'B-' at position 2"
+        good_first = SAMPLE + "\n# id: u3\n# intent: none\n# text: x\n1\tx\tO\n"
+        with pytest.raises(StructuralError) as err:
+            corpus.parse_dataset(good_first)
+        assert str(err.value) == "line 15: expected '# text:' header"
+
+    def test_bad_row_wins_over_a_later_empty_block(self):
+        bad = SAMPLE.replace("4\teight\tI-datetime", "4\teight\tI-") + (
+            "\n# id: u3\n# text: x\n# intent: none\n"
+        )
+        with pytest.raises(StructuralError) as err:
+            corpus.parse_dataset(bad)
+        assert str(err.value) == "utterance 'u1': malformed tag 'I-' at position 3"
 
     def test_empty_text_gives_empty_dataset(self):
         assert len(corpus.parse_dataset("")) == 0

@@ -99,6 +99,15 @@ class TestApplyLabelMap:
         out = homogenize.apply_label_map(ds, homogenize.parse_label_map(MAP_TEXT))
         assert out.utterances[0].slot_tags == ("B-other", "O")
 
+    def test_renamed_tags_are_checked(self):
+        # a map target with a space makes a malformed tag; the Dataset the
+        # transform builds rejects it, naming the row
+        ds = make_dataset([["O"], ["O", "B-x", "I-x"]])
+        lmap = homogenize.LabelMap({"x": "a b"}, {})
+        with pytest.raises(StructuralError) as err:
+            homogenize.apply_label_map(ds, lmap)
+        assert str(err.value) == "utterance 'u1': malformed tag 'B-a b' at position 1"
+
 
 class TestTrimSpans:
     def _utt(self, tokens, tags):
@@ -106,6 +115,16 @@ class TestTrimSpans:
             "t",
             (Utterance("u0", " ".join(tokens), tuple(tokens), tuple(tags), "x"),),
         )
+
+    def test_unchanged_rows_passed_through(self):
+        ds = make_dataset([["B-loc", "I-loc"], ["O", "I-loc"], ["B-loc", "O"]])
+        ds = Dataset(ds.name, [ds.utterances[0], ds.utterances[1],
+                               ds.utterances[2]._replace(tokens=("the", "x"))])
+        out = homogenize.trim_spans(ds, ["the"])
+        assert out.utterances[0] is ds.utterances[0]
+        assert out.utterances[1].slot_tags == ("O", "B-loc")  # repaired
+        assert out.utterances[2].slot_tags == ("O", "O")  # trimmed
+        assert out == homogenize.trim_spans(out, ["the"])
 
     def test_invalid_sequence_repaired_without_drop_word(self):
         # "at" occurs, but never at a span start, so no span is trimmed

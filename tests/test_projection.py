@@ -256,6 +256,17 @@ class TestProjectDataset:
         with pytest.raises(StructuralError, match="no alignment record.*'u0'"):
             projection.project_dataset(src, [])
 
+    def test_projected_tokens_are_checked(self):
+        # alignment records may hold any string token; the projected
+        # Dataset rejects one that would break the file format
+        src = make_dataset([["O"], ["B-loc", "O"]])
+        recs = [projection.AlignmentRecord("u0", ("s0",), ("t0",), ((0.5,),)),
+                projection.AlignmentRecord("u1", ("s0", "s1"), ("t0", "t\t1"),
+                                           ((1.0, 0.0), (0.0, 1.0)))]
+        with pytest.raises(StructuralError) as err:
+            projection.project_dataset(src, recs)
+        assert str(err.value) == "utterance 'u1': token 't\\t1' contains tab or newline"
+
     def test_duplicate_record_id(self):
         src = make_dataset([["O"]])
         rec = projection.AlignmentRecord("u0", ("s0",), ("t0",), ((0.5,),))

@@ -1,6 +1,7 @@
 """Joint tagger: vocab, encoder, losses, gradients, training, checkpoints."""
 
 import base64
+import dataclasses
 import json
 import math
 import random
@@ -554,6 +555,29 @@ class TestCheckpoint:
         tagger.save_model(model, a)
         tagger.save_model(model, b)
         assert a.read_bytes() == b.read_bytes()
+
+    def test_streamed_bytes_equal_one_json_dump(self, tmp_path):
+        model, _ = tagger.train(overfit_corpus(), small_config(epochs=1))
+        # a tensor of several base64 pieces, a non-contiguous one, a 0-d one
+        model.params["x_big"] = np.linspace(-1.0, 1.0, 3 * tagger._B64_PIECE // 8 + 5)
+        model.params["x_view"] = np.arange(12.0).reshape(3, 4).T
+        model.params["x_scalar"] = np.array(2.5)
+        path = tmp_path / "model.json"
+        tagger.save_model(model, path)
+        payload = {
+            "format_version": tagger.CHECKPOINT_VERSION,
+            "config": dataclasses.asdict(model.config),
+            "vocab": dataclasses.asdict(model.vocab),
+            "params": {
+                name: {
+                    "shape": list(arr.shape),
+                    "dtype": "<f8",
+                    "data": base64.b64encode(arr.astype("<f8").tobytes()).decode("ascii"),
+                }
+                for name, arr in model.params.items()
+            },
+        }
+        assert path.read_text(encoding="utf-8") == json.dumps(payload, sort_keys=True) + "\n"
 
     def test_version_checked(self, tmp_path):
         model, _ = tagger.train(overfit_corpus(), small_config(epochs=1))
