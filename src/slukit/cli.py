@@ -106,12 +106,19 @@ def _digest(path: str) -> str:
         raise ToolkitError(f"cannot read {path}: {err.strerror or err}") from None
 
 
+@contextmanager
+def _naming(path: str):
+    """Re-raise a ToolkitError, or a csv.Error from reading a table, as ``PATH: message``."""
+    try:
+        yield
+    except (ToolkitError, csv.Error) as err:
+        raise ToolkitError(f"{path}: {err}") from None
+
+
 def _load_dataset(path: str, digests: dict[str, str]) -> corpus.Dataset:
     text = _read_text(path, digests)
-    try:
+    with _naming(path):
         return corpus.parse_dataset(text, name=Path(path).stem)
-    except ToolkitError as err:
-        raise ToolkitError(f"{path}: {err}") from None
 
 
 def _load_model(path: str, digests: dict[str, str]) -> tagger.TaggerModel:
@@ -203,7 +210,9 @@ def _cmd_train(args, digests):
     if args.mlm:
         mlm_sentences = [s for s in map(str.split, _read_text(args.mlm, digests).splitlines()) if s]
     hyper = {f.name: getattr(args, f.name) for f in dataclasses.fields(tagger.TrainConfig)}
-    model, log = tagger.train(data, tagger.TrainConfig(**hyper), mlm_sentences)
+    config = tagger.TrainConfig(**hyper)
+    with _naming(args.out):  # an error names the model file it leaves unwritten
+        model, log = tagger.train(data, config, mlm_sentences)
     for entry in log:
         losses = [getattr(entry, task) for task in tagger.HEADS]
         cells = ["-" if v is None else f"{v:.6f}" for v in losses]
@@ -218,56 +227,59 @@ def _cmd_predict(args, digests):
 
 
 def _cmd_agreement(args, digests):
-    rows = list(csv.reader(io.StringIO(_read_text(args.table, digests))))
-    if len(rows) < 2 or len(rows[0]) < 2:
-        raise ToolkitError(f"{args.table}: need a header row and at least one item row")
-    counts = []
-    for row in rows[1:]:
-        try:
-            counts.append(tuple(int(c) for c in row[1:]))
-        except ValueError:
-            raise ToolkitError(f"{args.table}: non-integer count in row {row[0]!r}") from None
-    table = metrics.AgreementTable(tuple(counts), n_annotators=sum(counts[0]))
-    print(f"fleiss_kappa\t{metrics.fleiss_kappa(table):.4f}")
+    text = _read_text(args.table, digests)
+    with _naming(args.table):
+        rows = list(csv.reader(io.StringIO(text)))
+        if len(rows) < 2 or len(rows[0]) < 2:
+            raise ToolkitError("need a header row and at least one item row")
+        counts = []
+        for row in rows[1:]:
+            try:
+                counts.append(tuple(int(c) for c in row[1:]))
+            except ValueError:
+                raise ToolkitError(f"non-integer count in row {row[0]!r}") from None
+        kappa = metrics.fleiss_kappa(metrics.AgreementTable(tuple(counts), sum(counts[0])))
+    print(f"fleiss_kappa\t{kappa:.4f}")
     return {}, {}
 
 
 def _cmd_correlate(args, digests):
-    reader = csv.DictReader(io.StringIO(_read_text(args.scores, digests)))
-    fields = reader.fieldnames or []
-    for col in (args.x, args.y):
-        if col not in fields:
-            raise ToolkitError(f"{args.scores}: no column {col!r}")
-    xs, ys = [], []
-    for row in reader:
-        try:
-            xs.append(float(row[args.x]))
-            ys.append(float(row[args.y]))
-        except (TypeError, ValueError):
-            raise ToolkitError(f"{args.scores}: non-numeric value in row {row!r}") from None
-    print(f"pearson\t{metrics.pearson(xs, ys):.4f}")
+    text = _read_text(args.scores, digests)
+    with _naming(args.scores):
+        reader = csv.DictReader(io.StringIO(text))
+        for col in (args.x, args.y):
+            if col not in (reader.fieldnames or []):
+                raise ToolkitError(f"no column {col!r}")
+        xs, ys = [], []
+        for row in reader:
+            try:
+                xs.append(float(row[args.x]))
+                ys.append(float(row[args.y]))
+            except (TypeError, ValueError):
+                raise ToolkitError(f"non-numeric value in row {row!r}") from None
+        r = metrics.pearson(xs, ys)
+    print(f"pearson\t{r:.4f}")
     return {}, {}
 
 
 def _cmd_significance(args, digests):
-    cells = significance.parse_scores_csv(_read_text(args.scores, digests))
-    metrics_present = sorted({metric for _, _, metric in cells})
-    metric = args.metric
-    if metric is None:
-        if len(metrics_present) != 1:
-            raise ToolkitError(
-                "score file has metrics "
-                + ",".join(metrics_present)
-                + "; pick one with --metric"
-            )
-        metric = metrics_present[0]
-    scores = {
-        (system, language): sample
-        for (system, language, m), sample in cells.items()
-        if m == metric
-    }
-    if not scores:
-        raise ToolkitError(f"no rows with metric {metric!r}")
+    text = _read_text(args.scores, digests)
+    with _naming(args.scores):
+        cells = significance.parse_scores_csv(text)
+        metrics_present = sorted({metric for _, _, metric in cells})
+        metric = args.metric
+        if metric is None:
+            if len(metrics_present) != 1:
+                listed = ",".join(metrics_present)
+                raise ToolkitError(f"has metrics {listed}; pick one with --metric")
+            metric = metrics_present[0]
+        scores = {
+            (system, language): sample
+            for (system, language, m), sample in cells.items()
+            if m == metric
+        }
+        if not scores:
+            raise ToolkitError(f"no rows with metric {metric!r}")
     table = significance.compare_table(
         scores, args.baseline, alpha=args.alpha, n_boot=args.boot, seed=args.seed
     )

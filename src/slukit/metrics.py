@@ -19,7 +19,7 @@ sequences are required to be valid already.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from . import bio
 from .corpus import Dataset
@@ -55,20 +55,15 @@ class EvalReport:
     n_utterances: int
 
 
-def _ratio(num: float, den: float) -> float:
-    return num / den if den else 0.0
-
-
-def _f1(p: float, r: float) -> float:
-    return 0.0 if p + r == 0 else 2 * p * r / (p + r)
+def _scores(hits_pred: int, n_pred: int, hits_gold: int, n_gold: int) -> MicroScores:
+    """Precision hits_pred / n_pred and recall hits_gold / n_gold (0 when empty), with F1."""
+    p = hits_pred / n_pred if n_pred else 0.0
+    r = hits_gold / n_gold if n_gold else 0.0
+    return MicroScores(p, r, 0.0 if p + r == 0 else 2 * p * r / (p + r))
 
 
 def _aligned_spans(gold: Dataset, pred: Dataset):
-    """Pair up per-utterance span lists, repairing pred tags first."""
-    if len(gold) != len(pred):
-        raise AlignmentError(
-            f"gold has {len(gold)} utterances, pred has {len(pred)}"
-        )
+    """Pair up the span lists of equal-length gold and pred, repairing pred tags first."""
     pairs = []
     for k, (g, p) in enumerate(zip(gold, pred)):
         if len(g.tokens) != len(p.tokens):
@@ -91,7 +86,7 @@ def strict_f1(gold: Dataset, pred: Dataset) -> EvalReport:
     Returns the full report: a per-label table of strict counts, micro
     precision/recall/F1 for all three regimes, and intent accuracy.
     """
-    accuracy = intent_accuracy(gold, pred)
+    accuracy = intent_accuracy(gold, pred)  # checks that the lengths agree
     pairs = _aligned_spans(gold, pred)
     labels = sorted(
         {s.label for gs, _ in pairs for s in gs}
@@ -112,32 +107,20 @@ def strict_f1(gold: Dataset, pred: Dataset) -> EvalReport:
                 fn[span.label] += 1
     per_label = {}
     for label in labels:
-        p = _ratio(tp[label], tp[label] + fp[label])
-        r = _ratio(tp[label], tp[label] + fn[label])
-        per_label[label] = LabelScores(tp[label], fp[label], fn[label], p, r, _f1(p, r))
+        m = _scores(tp[label], tp[label] + fp[label], tp[label], tp[label] + fn[label])
+        per_label[label] = LabelScores(tp[label], fp[label], fn[label], m.precision, m.recall, m.f1)
     # micro strict comes from the summed per-label counts by construction
     tp_sum, fp_sum, fn_sum = sum(tp.values()), sum(fp.values()), sum(fn.values())
-    p = _ratio(tp_sum, tp_sum + fp_sum)
-    r = _ratio(tp_sum, tp_sum + fn_sum)
     micro = {
-        "strict": MicroScores(p, r, _f1(p, r)),
+        "strict": _scores(tp_sum, tp_sum + fp_sum, tp_sum, tp_sum + fn_sum),
         "unlabeled": _micro_unlabeled(pairs),
         "loose": _micro_loose(pairs),
     }
     return EvalReport(per_label, micro, accuracy, len(gold))
 
 
-def unlabeled_f1(gold: Dataset, pred: Dataset) -> MicroScores:
-    """Micro scores where only span boundaries must match."""
-    return _micro_unlabeled(_aligned_spans(gold, pred))
-
-
-def loose_f1(gold: Dataset, pred: Dataset) -> MicroScores:
-    """Micro scores where one shared token with a same-label span counts."""
-    return _micro_loose(_aligned_spans(gold, pred))
-
-
 def _micro_unlabeled(pairs) -> MicroScores:
+    """Micro scores where only span boundaries must match."""
     tp = fp = fn = 0
     for gold_spans, pred_spans in pairs:
         gset = {(s.start, s.end) for s in gold_spans}
@@ -146,11 +129,11 @@ def _micro_unlabeled(pairs) -> MicroScores:
         tp += hit
         fp += len(pset) - hit
         fn += len(gset) - hit
-    p, r = _ratio(tp, tp + fp), _ratio(tp, tp + fn)
-    return MicroScores(p, r, _f1(p, r))
+    return _scores(tp, tp + fp, tp, tp + fn)
 
 
 def _micro_loose(pairs) -> MicroScores:
+    """Micro scores where one shared token with a same-label span counts."""
     matched_pred = total_pred = matched_gold = total_gold = 0
     for gold_spans, pred_spans in pairs:
         total_pred += len(pred_spans)
@@ -161,9 +144,7 @@ def _micro_loose(pairs) -> MicroScores:
         for span in gold_spans:
             if any(span.label == p.label and span.overlaps(p) for p in pred_spans):
                 matched_gold += 1
-    p = _ratio(matched_pred, total_pred)
-    r = _ratio(matched_gold, total_gold)
-    return MicroScores(p, r, _f1(p, r))
+    return _scores(matched_pred, total_pred, matched_gold, total_gold)
 
 
 def intent_accuracy(gold: Dataset, pred: Dataset) -> float:
@@ -205,14 +186,6 @@ class AgreementTable:
                 raise StructuralError(
                     f"item {i}: row sums to {sum(row)}, expected {self.n_annotators}"
                 )
-
-    @property
-    def n_items(self) -> int:
-        return len(self.counts)
-
-    @property
-    def n_categories(self) -> int:
-        return len(self.counts[0])
 
 
 def fleiss_kappa(table: AgreementTable) -> float:
@@ -282,23 +255,5 @@ def format_report(report: EvalReport) -> str:
 
 
 def report_to_json(report: EvalReport) -> dict:
-    """JSON-ready mirror of EvalReport, including the per-label table."""
-    return {
-        "n_utterances": report.n_utterances,
-        "intent_accuracy": report.intent_accuracy,
-        "micro": {
-            regime: {"precision": m.precision, "recall": m.recall, "f1": m.f1}
-            for regime, m in report.micro.items()
-        },
-        "per_label": {
-            label: {
-                "tp": s.tp,
-                "fp": s.fp,
-                "fn": s.fn,
-                "precision": s.precision,
-                "recall": s.recall,
-                "f1": s.f1,
-            }
-            for label, s in report.per_label.items()
-        },
-    }
+    """JSON-ready mirror of EvalReport: its field names are the JSON keys."""
+    return asdict(report)

@@ -30,7 +30,7 @@ import json
 import math
 import random
 from dataclasses import asdict, dataclass, fields
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -92,6 +92,14 @@ class Vocab:
                 "".join(seq).encode("utf-8")
             except UnicodeEncodeError:
                 raise StructuralError(f"entries in {name} hold a lone surrogate") from None
+        # predictions are written as dataset rows, so every label must be one a row can hold
+        try:
+            bio.check_tags(self.slot_tags)
+        except StructuralError as err:
+            raise StructuralError(f"bad entry in slot_tags: {err}") from None
+        for intent in self.intents:
+            if "\n" in intent:
+                raise StructuralError(f"bad entry in intents: {intent!r} holds a newline")
         object.__setattr__(self, "_token_ids", {t: i for i, t in enumerate(self.tokens)})
         object.__setattr__(self, "_tag_ids", {t: i for i, t in enumerate(self.slot_tags)})
         object.__setattr__(self, "_intent_ids", {t: i for i, t in enumerate(self.intents)})
@@ -239,21 +247,6 @@ def init_params(config: TrainConfig, vocab: Vocab, rng=None) -> ModelParams:
         else:
             params[name] = rng.uniform(-0.1, 0.1, size=shape)
     return params
-
-
-def validate_params(params: ModelParams, config: TrainConfig, vocab: Vocab) -> None:
-    expected = _param_shapes(config, vocab)
-    if set(params) != set(expected):
-        missing = sorted(set(expected) - set(params))
-        extra = sorted(set(params) - set(expected))
-        raise StructuralError(f"parameter names mismatch: missing {missing}, extra {extra}")
-    for name, shape in expected.items():
-        if tuple(params[name].shape) != shape:
-            raise StructuralError(
-                f"parameter {name}: shape {tuple(params[name].shape)}, expected {shape}"
-            )
-        if not np.all(np.isfinite(params[name])):
-            raise StructuralError(f"parameter {name} contains non-finite values")
 
 
 class _Cache(NamedTuple):
@@ -411,23 +404,6 @@ def _ce_rows(logits: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.nd
     return losses, grads
 
 
-def joint_loss(
-    params: ModelParams, batch: Sequence[Example], config: TrainConfig
-) -> tuple[float, dict[str, np.ndarray]]:
-    """Weighted multi-task loss and dense analytic gradients for one batch.
-
-    Each head's weight is config.w_<head>.
-    """
-    loss, grads, emb_rows, _ = _loss_and_grads(params, batch, config)
-    dense = {name: np.zeros_like(arr) for name, arr in params.items()}
-    for name, grad in grads.items():
-        if name == "emb":
-            dense[name][emb_rows] = grad
-        else:
-            dense[name][...] = grad
-    return loss, dense
-
-
 def _logits(params: ModelParams, task: str, feats: np.ndarray) -> np.ndarray:
     return feats @ params[f"w_{task}"] + params[f"b_{task}"]
 
@@ -542,7 +518,8 @@ def train(
     config.max_mlm_sentences. All randomness (init, schedule, instance
     order, masking) derives from config.seed, so equal inputs give
     bit-identical models and loss logs. Raises DivergenceError as soon
-    as a non-finite loss appears.
+    as a non-finite loss appears, and StructuralError when the last step
+    leaves a tensor non-finite, since that model could not be loaded.
     """
     if len(data) == 0:
         raise StructuralError("training data is empty")
@@ -608,6 +585,11 @@ def train(
                     task_batches[part] += 1
         means = {t: task_sums[t] / task_batches[t] if task_batches[t] else None for t in HEADS}
         log.append(EpochStats(epoch, sum(totals) / len(totals) if totals else 0.0, **means))
+    for name, arr in params.items():
+        if not np.isfinite(arr).all():
+            raise StructuralError(
+                f"training diverged: parameter {name} holds non-finite values after the last step"
+            )
     return TaggerModel(config, vocab, params), log
 
 
@@ -694,12 +676,13 @@ def _write_params(handle, params: dict[str, np.ndarray]) -> None:
 def load_model(path) -> TaggerModel:
     """Load a format-2 checkpoint written by `save_model`.
 
-    Every field is checked: the version, the config and vocab, and each
-    tensor's shape, dtype and strict base64 payload, whose decoded length
-    must be exactly 8 bytes per element. The tensors must then match the
-    shapes the config and vocab imply and be finite. Any failure raises
-    `StructuralError` prefixed with ``path``. Other format versions are
-    not read; a model is regenerated by retraining from its manifest.
+    Every field is checked: the version, the config and vocab, then the
+    tensors. Their names must be the ones the config and vocab imply, and
+    each tensor must declare exactly the shape they imply, the dtype
+    ``<f8`` and a strict base64 payload of 8 bytes per element, all
+    finite. Any failure raises `StructuralError` prefixed with ``path``.
+    Other format versions are not read; a model is regenerated by
+    retraining from its manifest.
     """
     with open(path, "r", encoding="utf-8") as handle:
         try:
@@ -750,21 +733,25 @@ def _model_from_payload(payload) -> TaggerModel:
         raise StructuralError(f"bad checkpoint vocab: {err}") from None
     if not isinstance(raw, dict):
         raise StructuralError("checkpoint params are not an object")
-    params = {name: _decode_tensor(name, entry) for name, entry in raw.items()}
-    validate_params(params, config, vocab)
+    shapes = _param_shapes(config, vocab)
+    if set(raw) != set(shapes):
+        missing = sorted(set(shapes) - set(raw))
+        extra = sorted(set(raw) - set(shapes))
+        raise StructuralError(f"parameter names mismatch: missing {missing}, extra {extra}")
+    params = {name: _decode_tensor(name, raw[name], shape) for name, shape in shapes.items()}
     return TaggerModel(config, vocab, params)
 
 
-def _decode_tensor(name: str, entry) -> np.ndarray:
-    """One checkpoint tensor as an owned, writable float64 array."""
+def _decode_tensor(name: str, entry, shape: tuple[int, ...]) -> np.ndarray:
+    """Checkpoint tensor ``name`` of the expected ``shape``, as an owned, writable float64 array."""
     if not isinstance(entry, dict):
         raise StructuralError(f"parameter {name}: not an object")
     for field in ("shape", "dtype", "data"):
         if field not in entry:
             raise StructuralError(f"parameter {name}: missing field {field!r}")
-    shape, data = entry["shape"], entry["data"]
-    if not isinstance(shape, list) or not all(type(n) is int and n >= 0 for n in shape):
-        raise StructuralError(f"parameter {name}: shape must be a list of non-negative integers")
+    declared, data = entry["shape"], entry["data"]
+    if declared != list(shape) or not all(type(n) is int for n in declared):  # not 8.0, true
+        raise StructuralError(f"parameter {name}: shape {declared!r}, expected {list(shape)}")
     if entry["dtype"] != TENSOR_DTYPE:
         raise StructuralError(f"parameter {name}: dtype must be {TENSOR_DTYPE!r}")
     if not isinstance(data, str):
@@ -776,12 +763,10 @@ def _decode_tensor(name: str, entry) -> np.ndarray:
     expected = 8 * math.prod(shape)
     if len(raw) != expected:
         raise StructuralError(
-            f"parameter {name}: {len(raw)} data bytes, expected {expected} "
-            f"for shape {tuple(shape)}"
+            f"parameter {name}: {len(raw)} data bytes, expected {expected} for shape {shape}"
         )
-    try:
-        arr = np.frombuffer(raw, dtype=TENSOR_DTYPE).reshape(shape)
-    except ValueError as err:  # an empty tensor can declare dimensions numpy cannot hold
-        raise StructuralError(f"parameter {name}: {err}") from None
+    arr = np.frombuffer(raw, dtype=TENSOR_DTYPE).reshape(shape)
+    if not np.isfinite(arr).all():
+        raise StructuralError(f"parameter {name} contains non-finite values")
     # astype copies, so the array owns writable memory rather than viewing the bytes.
     return arr.astype(np.float64)

@@ -21,6 +21,7 @@ import slukit
 from slukit.corpus import Dataset, Utterance
 from slukit.errors import ParseError, StructuralError
 from slukit.significance import AsoResult
+from slukit.tagger import _loss_and_grads
 
 LABELS = ("loc", "datetime", "device", "song")
 
@@ -185,11 +186,11 @@ def walk_epsilon(a_values, b_values) -> float:
     return 0.5 if total == 0.0 else violation / total
 
 
-def walk_aso(a_values, b_values, alpha=0.05, n_boot=1000, seed=0, threshold=0.5) -> AsoResult:
+def walk_aso(a_values, b_values, alpha=0.05, n_boot=1000, seed=0) -> AsoResult:
     """The ASO test replicate by replicate: per replicate, draw n indices into a, then m into b."""
     violation, total = walk_masses(sorted(a_values), sorted(b_values))
     if total == 0.0:
-        return AsoResult(0.5, 0.0, 0.5, alpha, 0.5 < threshold)
+        return AsoResult(0.5, 0.0, 0.5, alpha, False)
     eps_hat = violation / total
     rng = np.random.default_rng(seed)
     av, bv = np.asarray(a_values, dtype=float), np.asarray(b_values, dtype=float)
@@ -200,7 +201,7 @@ def walk_aso(a_values, b_values, alpha=0.05, n_boot=1000, seed=0, threshold=0.5)
         boots.append(walk_epsilon(ra, rb))
     sigma = float(np.std(boots))
     eps_min = eps_hat - sigma * NormalDist().inv_cdf(1 - alpha)
-    return AsoResult(eps_hat, sigma, eps_min, alpha, eps_min < threshold)
+    return AsoResult(eps_hat, sigma, eps_min, alpha, eps_min < 0.5)
 
 
 # ------------------------------------------------------------ parser oracle
@@ -303,6 +304,23 @@ def plain_sentences(count: int = 300, seed: int = 5) -> list[tuple[str, ...]]:
 # ----------------------------------------------------- finite differences
 
 
+def joint_loss(params, batch, config) -> tuple[float, dict[str, np.ndarray]]:
+    """Weighted multi-task loss and dense analytic gradients for one batch.
+
+    The tagger's own step keeps gradients sparse (only the tensors and
+    embedding rows the batch touches); this scatters them into arrays
+    shaped like ``params``, zero elsewhere, for comparison and checks.
+    """
+    loss, grads, emb_rows, _ = _loss_and_grads(params, batch, config)
+    dense = {name: np.zeros_like(arr) for name, arr in params.items()}
+    for name, grad in grads.items():
+        if name == "emb":
+            dense[name][emb_rows] = grad
+        else:
+            dense[name][...] = grad
+    return loss, dense
+
+
 def finite_difference_worst(params, batch, config) -> float:
     """Worst relative error of analytic gradients vs central differences.
 
@@ -310,8 +328,6 @@ def finite_difference_worst(params, batch, config) -> float:
     the relative error floor of 1e-6 keeps zero-gradient entries from
     amplifying finite-difference noise.
     """
-    from slukit.tagger import joint_loss
-
     _, grads = joint_loss(params, batch, config)
     worst = 0.0
     for name, arr in params.items():

@@ -21,6 +21,7 @@ from support import (
     REPAIR_CASES,
     finite_difference_worst,
     grid_epsilon,
+    joint_loss,
     make_dataset,
     oracle_strict_micro,
     overfit_corpus,
@@ -193,15 +194,15 @@ def test_tagger_gradients_losses_overfit_and_auxiliary():
     for arr in zeroed.values():
         arr[:] = 0.0
     unit = tagger.TrainConfig(w_mlm=1.0)
-    loss, _ = tagger.joint_loss(
+    loss, _ = joint_loss(
         zeroed, [tagger.Example(token_ids=(4,), intent_id=0)], unit
     )
     assert abs(loss - math.log(len(vocab.intents))) < 1e-10
-    loss, _ = tagger.joint_loss(
+    loss, _ = joint_loss(
         zeroed, [tagger.Example(token_ids=(4, 5), slot_ids=(0, 1))], unit
     )
     assert abs(loss - math.log(len(vocab.slot_tags))) < 1e-10
-    loss, _ = tagger.joint_loss(
+    loss, _ = joint_loss(
         zeroed, [tagger.Example(token_ids=(4, 5), mlm_targets=((1, 6),))], unit
     )
     assert abs(loss - math.log(len(vocab.tokens))) < 1e-10

@@ -10,6 +10,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -452,6 +453,40 @@ class TestTrainPredict:
         assert err.startswith("error: ") and message in err
 
 
+    @pytest.mark.parametrize("field,entry,message", [
+        ("slot_tags", "X", "bad entry in slot_tags: malformed tag 'X' at position 4"),
+        ("intents", "alarm\nx", "bad entry in intents: 'alarm\\nx' holds a newline"),
+    ])
+    def test_checkpoint_labels_a_dataset_cannot_hold(
+        self, workdir, capsys, field, entry, message
+    ):
+        self._write_corpus(workdir)
+        assert cli.run(self.TRAIN + ["--out", "model.json"]) == 0
+        path = workdir / "model.json"
+        payload = json.loads(path.read_text())
+        payload["vocab"][field][-1] = entry
+        path.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert cli.run([
+            "predict", "--model", "model.json", "--in", "train.txt", "--out", "pred.txt",
+        ]) == 1
+        assert capsys.readouterr().err == f"error: model.json: {message}\n"
+        assert not (workdir / "pred.txt").exists()
+
+    def test_last_step_overflow_writes_no_model(self, workdir, capsys):
+        # the loss is checked before each step, so one batch puts the overflow after the check
+        self._write_corpus(workdir)
+        with np.errstate(all="ignore"):
+            assert cli.run(self.TRAIN + [
+                "--out", "model.json", "--learning-rate", "1e300", "--w-intent", "1e100",
+                "--batches-per-epoch", "1",
+            ]) == 1
+        assert capsys.readouterr().err == (
+            "error: model.json: training diverged: "
+            "parameter emb holds non-finite values after the last step\n"
+        )
+        assert not (workdir / "model.json").exists()
+
     @pytest.mark.parametrize("field", ["intents", "slot_tags"])
     def test_lone_surrogate_in_checkpoint_vocab(self, workdir, capsys, field):
         self._write_corpus(workdir)
@@ -545,6 +580,33 @@ class TestAgreementCorrelate:
         assert cli.run(["correlate", "--scores", "scores.csv", "--x", "a", "--y", "b"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "finite" in err
+
+
+SIGNIFICANCE = ["significance", "--scores", "scores.csv", "--baseline", "base", "--seed", "0"]
+CORRELATE = ["correlate", "--scores", "scores.csv", "--x", "a", "--y", "b"]
+HUGE = "1" * 200_000  # a field longer than the csv module's limit
+
+
+@pytest.mark.parametrize("name,text,argv,message", [
+    ("table.csv", "item,yes,no\ni1,3,0\ni2,3\n", ["agreement", "--table", "table.csv"],
+     "item 1: ragged row"),
+    ("scores.csv", "a,b\n1,2\nnan,3\n", CORRELATE, "correlation needs finite values"),
+    ("scores.csv", SCORES_CSV + "aux,de,f1,9,nan\n", SIGNIFICANCE,
+     "language 'de', metric 'f1': sample for system 'aux' has non-finite values"),
+    ("scores.csv", SCORES_CSV + "aux,de,f1,9,x\n", SIGNIFICANCE, "line 12: bad value 'x'"),
+    ("scores.csv", SCORES_CSV + "aux,de,acc,1,0.5\naux,de,acc,2,0.6\n", SIGNIFICANCE,
+     "has metrics acc,f1; pick one with --metric"),
+    ("table.csv", f"item,yes\ni1,{HUGE}\n", ["agreement", "--table", "table.csv"],
+     "field larger than field limit (131072)"),
+    ("scores.csv", f"a,b\n1,{HUGE}\n", CORRELATE, "field larger than field limit (131072)"),
+    ("scores.csv", f"{SCORES_CSV}aux,de,f1,9,{HUGE}\n", SIGNIFICANCE,
+     "field larger than field limit (131072)"),
+], ids=["agreement", "correlate", "significance_sample", "significance_line", "two_metrics",
+        "agreement_csv", "correlate_csv", "significance_csv"])
+def test_table_errors_name_the_file(workdir, capsys, name, text, argv, message):
+    (workdir / name).write_text(text)
+    assert cli.run(argv) == 1
+    assert capsys.readouterr().err == f"error: {name}: {message}\n"
 
 
 class TestSignificance:

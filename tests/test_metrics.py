@@ -85,18 +85,20 @@ class TestStrict:
 class TestUnlabeledAndLoose:
     def test_boundary_match_ignores_label(self):
         gold, pred = _pair([["B-a", "I-a", "O"]], [["B-b", "I-b", "O"]])
-        assert metrics.strict_f1(gold, pred).micro["strict"].f1 == 0.0
-        assert metrics.unlabeled_f1(gold, pred).f1 == 1.0
+        micro = metrics.strict_f1(gold, pred).micro
+        assert micro["strict"].f1 == 0.0
+        assert micro["unlabeled"].f1 == 1.0
         # label differs, so loose overlap does not fire
-        assert metrics.loose_f1(gold, pred).f1 == 0.0
+        assert micro["loose"].f1 == 0.0
 
     def test_loose_rewards_truncated_span(self):
         gold, pred = _pair(
             [["B-loc", "O", "O", "B-datetime", "I-datetime"]],
             [["B-loc", "O", "O", "B-datetime", "O"]],
         )
-        assert metrics.unlabeled_f1(gold, pred).f1 == 0.5
-        assert metrics.loose_f1(gold, pred) == metrics.MicroScores(1.0, 1.0, 1.0)
+        micro = metrics.strict_f1(gold, pred).micro
+        assert micro["unlabeled"].f1 == 0.5
+        assert micro["loose"] == metrics.MicroScores(1.0, 1.0, 1.0)
 
     def test_loose_counts_each_side_once(self):
         # one gold span covered by two predicted fragments: every pred
@@ -104,10 +106,9 @@ class TestUnlabeledAndLoose:
         gold, pred = _pair(
             [["B-a", "I-a", "I-a", "I-a"]], [["B-a", "O", "B-a", "O"]]
         )
-        loose = metrics.loose_f1(gold, pred)
-        assert loose == metrics.MicroScores(1.0, 1.0, 1.0)
-        strict = metrics.strict_f1(gold, pred).micro["strict"]
-        assert strict.precision == 0.0 and strict.recall == 0.0
+        micro = metrics.strict_f1(gold, pred).micro
+        assert micro["loose"] == metrics.MicroScores(1.0, 1.0, 1.0)
+        assert micro["strict"].precision == 0.0 and micro["strict"].recall == 0.0
 
     def test_regime_ordering_fuzz(self):
         rng = random.Random(22)
@@ -161,11 +162,6 @@ class TestAgreementTable:
     def test_needs_two_annotators(self):
         with pytest.raises(StructuralError, match="at least 2"):
             metrics.AgreementTable(((1,),), n_annotators=1)
-
-    def test_shape_properties(self):
-        table = metrics.AgreementTable(((2, 1), (0, 3)), n_annotators=3)
-        assert table.n_items == 2
-        assert table.n_categories == 2
 
 
 class TestFleissKappa:
@@ -269,3 +265,28 @@ class TestReportRendering:
         assert payload["micro"]["strict"]["f1"] == report.micro["strict"].f1
         assert payload["per_label"]["loc"]["tp"] == 1
         assert payload["n_utterances"] == 1
+
+    def test_json_pins_every_key(self):
+        # the field names of EvalReport, LabelScores and MicroScores are the JSON keys
+        report = metrics.EvalReport(
+            per_label={"loc": metrics.LabelScores(1, 0, 3, 1.0, 0.25, 0.4)},
+            micro={
+                "strict": metrics.MicroScores(1.0, 0.25, 0.4),
+                "unlabeled": metrics.MicroScores(0.5, 0.125, 0.2),
+                "loose": metrics.MicroScores(0.75, 0.5, 0.6),
+            },
+            intent_accuracy=0.5,
+            n_utterances=2,
+        )
+        assert metrics.report_to_json(report) == {
+            "n_utterances": 2,
+            "intent_accuracy": 0.5,
+            "micro": {
+                "strict": {"precision": 1.0, "recall": 0.25, "f1": 0.4},
+                "unlabeled": {"precision": 0.5, "recall": 0.125, "f1": 0.2},
+                "loose": {"precision": 0.75, "recall": 0.5, "f1": 0.6},
+            },
+            "per_label": {
+                "loc": {"tp": 1, "fp": 0, "fn": 3, "precision": 1.0, "recall": 0.25, "f1": 0.4},
+            },
+        }

@@ -117,32 +117,42 @@ class TestEpsilon:
 
 
 class TestInverseNormalCdf:
+    """aso's bound uses the exact standard normal quantile z = InverseNormal(1 - alpha).
+
+    z is recovered from a result as (epsilon_hat - epsilon_min) / sigma_boot.
+    """
+
+    A = [0.61, 0.55, 0.72, 0.58, 0.66, 0.49]
+    B = [0.50, 0.57, 0.44, 0.52, 0.61, 0.47]
+
+    def _z(self, alpha):
+        result = significance.aso(_sample(self.A), _sample(self.B), alpha=alpha, n_boot=50, seed=3)
+        assert result.sigma_boot > 0.01
+        return (result.epsilon_hat - result.epsilon_min) / result.sigma_boot
+
     def test_matches_scipy_across_domain(self):
-        ps = np.concatenate([
+        alphas = np.concatenate([
             np.array([1e-12, 1e-9, 1e-6, 1e-4, 0.02425, 0.024251]),
             np.linspace(0.001, 0.999, 997),
             1 - np.array([1e-12, 1e-9, 1e-6, 1e-4]),
         ])
-        for p in ps:
-            ours = significance.inverse_normal_cdf(float(p))
-            ref = float(scipy.stats.norm.ppf(p))
-            assert abs(ours - ref) < 1e-8, p
+        for alpha in alphas:
+            ref = float(scipy.stats.norm.ppf(1 - alpha))
+            assert abs(self._z(float(alpha)) - ref) < 1e-8, alpha
 
     def test_symmetry(self):
-        assert abs(
-            significance.inverse_normal_cdf(0.3) + significance.inverse_normal_cdf(0.7)
-        ) < 1e-12
+        assert abs(self._z(0.3) + self._z(0.7)) < 1e-12
 
     def test_median_is_zero(self):
-        assert abs(significance.inverse_normal_cdf(0.5)) < 1e-15
+        assert abs(self._z(0.5)) < 1e-15
 
     def test_known_quantile(self):
-        assert abs(significance.inverse_normal_cdf(0.975) - 1.959963984540054) < 1e-9
+        assert abs(self._z(0.025) - 1.959963984540054) < 1e-9
 
     @pytest.mark.parametrize("p", [0.0, 1.0, -0.1, 1.1])
     def test_domain(self, p):
-        with pytest.raises(StructuralError, match="in \\(0, 1\\)"):
-            significance.inverse_normal_cdf(p)
+        with pytest.raises(StructuralError, match="alpha must be in \\(0, 1\\)"):
+            significance.aso(_sample(self.A), _sample(self.B), alpha=p)
 
 
 class TestAso:
@@ -179,7 +189,7 @@ class TestAso:
         b = [rng.gauss(0.5, 0.1) for _ in range(6)]
         alpha = 0.03
         result = significance.aso(_sample(a), _sample(b), alpha=alpha, seed=9)
-        z = significance.inverse_normal_cdf(1 - alpha)
+        z = float(scipy.stats.norm.ppf(1 - alpha))
         assert math.isclose(
             result.epsilon_min, result.epsilon_hat - result.sigma_boot * z, abs_tol=1e-12
         )
@@ -375,6 +385,36 @@ class TestRendering:
         assert len(counts) == 1
         assert counts[0].startswith("dominant_languages\taux\t")
         assert counts[0].endswith("/2")
+
+    def test_json_pins_every_key(self):
+        # the field names of AsoResult are the JSON keys of a result row
+        table = significance.ComparisonTable(
+            baseline="base",
+            languages=("de", "it"),
+            alpha=0.05,
+            alpha_adjusted=0.025,
+            results={
+                ("aux", "it"): significance.AsoResult(0.25, 0.125, 0.0, 0.025, True),
+                ("aux", "de"): significance.AsoResult(0.75, 0.5, 0.5, 0.025, False),
+            },
+            dominant_counts={"aux": 1},
+        )
+        payload = significance.comparison_to_json(table)
+        assert payload == {
+            "baseline": "base",
+            "languages": ["de", "it"],
+            "alpha": 0.05,
+            "alpha_adjusted": 0.025,
+            "results": [
+                {"system": "aux", "language": "de", "epsilon_hat": 0.75, "sigma_boot": 0.5,
+                 "epsilon_min": 0.5, "alpha_used": 0.025, "dominant": False},
+                {"system": "aux", "language": "it", "epsilon_hat": 0.25, "sigma_boot": 0.125,
+                 "epsilon_min": 0.0, "alpha_used": 0.025, "dominant": True},
+            ],
+            "dominant_counts": {"aux": 1},
+        }
+        payload["dominant_counts"]["aux"] = 2  # the mirror is a copy
+        assert table.dominant_counts == {"aux": 1}
 
     def test_json_round_trips(self):
         table = self._table()

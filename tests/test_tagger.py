@@ -5,6 +5,7 @@ import dataclasses
 import json
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -13,7 +14,13 @@ from slukit import metrics, tagger
 from slukit.corpus import Dataset, Utterance
 from slukit.errors import DivergenceError, StructuralError
 
-from support import finite_difference_worst, make_dataset, overfit_corpus, plain_sentences
+from support import (
+    finite_difference_worst,
+    joint_loss,
+    make_dataset,
+    overfit_corpus,
+    plain_sentences,
+)
 
 
 def small_vocab():
@@ -67,6 +74,17 @@ class TestVocab:
         ):
             with pytest.raises(StructuralError, match=f"entries in {name} hold a lone surrogate"):
                 tagger.Vocab(tokens, tags, intents)
+
+    def test_slot_tags_must_be_bio(self):
+        # a model's predictions are written as dataset rows, so its labels must fit one
+        with pytest.raises(
+            StructuralError, match="bad entry in slot_tags: malformed tag 'X' at position 1"
+        ):
+            tagger.Vocab(tagger.RESERVED_TOKENS, ("O", "X"), ("x",))
+
+    def test_newline_in_intent_rejected(self):
+        with pytest.raises(StructuralError, match=re.escape(r"intents: 'a\nb' holds a newline")):
+            tagger.Vocab(tagger.RESERVED_TOKENS, ("O",), ("x", "a\nb"))
 
     def test_unknown_token_falls_back(self):
         vocab = small_vocab()
@@ -147,7 +165,8 @@ class TestConfigAndParams:
     def test_init_shapes_and_ranges(self):
         config, vocab = small_config(), small_vocab()
         params = tagger.init_params(config, vocab)
-        tagger.validate_params(params, config, vocab)
+        shapes = tagger._param_shapes(config, vocab)
+        assert {name: arr.shape for name, arr in params.items()} == shapes
         assert params["emb"].shape == (8, 4)
         assert params["w_intent"].shape == (8, 2)
         assert params["w_slot"].shape == (8, 5)
@@ -159,16 +178,25 @@ class TestConfigAndParams:
             else:
                 assert np.all(np.abs(arr) <= 0.1)
 
-    def test_validate_catches_drift(self):
-        config, vocab = small_config(), small_vocab()
-        params = tagger.init_params(config, vocab)
-        broken = dict(params)
-        del broken["b_slot"]
-        with pytest.raises(StructuralError, match="missing"):
-            tagger.validate_params(broken, config, vocab)
-        params["w_slot"] = params["w_slot"][:, :-1]
-        with pytest.raises(StructuralError, match="w_slot"):
-            tagger.validate_params(params, config, vocab)
+    def test_validate_catches_drift(self, tmp_path):
+        # loading checks the tensors against the names and shapes config and vocab imply
+        model, _ = tagger.train(overfit_corpus(), small_config(epochs=1))
+        path = tmp_path / "model.json"
+        tagger.save_model(model, path)
+        payload = json.loads(path.read_text())
+        renamed = json.loads(path.read_text())
+        renamed["params"]["w_extra"] = renamed["params"].pop("b_slot")
+        path.write_text(json.dumps(renamed))
+        with pytest.raises(StructuralError, match=re.escape(
+            "parameter names mismatch: missing ['b_slot'], extra ['w_extra']"
+        )):
+            tagger.load_model(path)
+        payload["config"]["hidden_dim"] = 5
+        path.write_text(json.dumps(payload))
+        with pytest.raises(StructuralError, match=re.escape(
+            "model.json: parameter w_fwd_in: shape [4, 4], expected [4, 5]"
+        )):
+            tagger.load_model(path)
 
 
 class TestEncoder:
@@ -234,13 +262,13 @@ class TestJointLoss:
     def test_empty_batch(self):
         params = tagger.init_params(small_config(), small_vocab())
         with pytest.raises(StructuralError, match="empty batch"):
-            tagger.joint_loss(params, [], tagger.TrainConfig(w_mlm=1.0))
+            joint_loss(params, [], tagger.TrainConfig(w_mlm=1.0))
 
     def test_unlabelled_batch(self):
         params = tagger.init_params(small_config(), small_vocab())
         batch = [tagger.Example(token_ids=(4, 5))]
         with pytest.raises(StructuralError, match="no task labels"):
-            tagger.joint_loss(params, batch, tagger.TrainConfig(w_mlm=1.0))
+            joint_loss(params, batch, tagger.TrainConfig(w_mlm=1.0))
 
     def test_uniform_softmax_loss_is_log_k(self):
         config, vocab = small_config(), small_vocab()
@@ -249,22 +277,22 @@ class TestJointLoss:
             arr[:] = 0.0
         weights = tagger.TrainConfig(w_mlm=1.0)
         intent_only = [tagger.Example(token_ids=(4, 5), intent_id=1)]
-        loss, _ = tagger.joint_loss(params, intent_only, weights)
+        loss, _ = joint_loss(params, intent_only, weights)
         assert abs(loss - math.log(2)) < 1e-12
         slot_only = [tagger.Example(token_ids=(4, 5), slot_ids=(0, 3))]
-        loss, _ = tagger.joint_loss(params, slot_only, weights)
+        loss, _ = joint_loss(params, slot_only, weights)
         assert abs(loss - math.log(5)) < 1e-12
         mlm_only = [tagger.Example(token_ids=(4, 5), mlm_targets=((0, 6),))]
-        loss, _ = tagger.joint_loss(params, mlm_only, weights)
+        loss, _ = joint_loss(params, mlm_only, weights)
         assert abs(loss - math.log(8)) < 1e-12
 
     def test_task_weights_scale_linearly(self):
         params = tagger.init_params(small_config(seed=5), small_vocab())
         batch = [tagger.Example(token_ids=(4, 5, 6), intent_id=0)]
-        base, base_grads = tagger.joint_loss(
+        base, base_grads = joint_loss(
             params, batch, tagger.TrainConfig(w_intent=1.0, w_mlm=1.0)
         )
-        double, double_grads = tagger.joint_loss(
+        double, double_grads = joint_loss(
             params, batch, tagger.TrainConfig(w_intent=2.0, w_mlm=1.0)
         )
         assert math.isclose(double, 2 * base, rel_tol=1e-12)
@@ -276,8 +304,8 @@ class TestJointLoss:
         params = tagger.init_params(small_config(seed=6), small_vocab())
         weights = tagger.TrainConfig(w_mlm=1.0)
         one = [tagger.Example(token_ids=(4, 5, 6), slot_ids=(0, 1, 2))]
-        loss_one, _ = tagger.joint_loss(params, one, weights)
-        loss_two, _ = tagger.joint_loss(params, one * 2, weights)
+        loss_one, _ = joint_loss(params, one, weights)
+        loss_two, _ = joint_loss(params, one * 2, weights)
         assert math.isclose(loss_two, loss_one, rel_tol=1e-12)
 
     def test_gradients_match_finite_differences(self):
@@ -313,11 +341,11 @@ class TestBatchedEngine:
         params = tagger.init_params(small_config(seed=9), small_vocab())
         weights = tagger.TrainConfig(w_intent=1.0, w_slot=0.7, w_mlm=0.3)
         batch = ragged_batch()
-        loss, grads = tagger.joint_loss(params, batch, weights)
+        loss, grads = joint_loss(params, batch, weights)
         for seed in range(5):
             shuffled = list(batch)
             random.Random(seed).shuffle(shuffled)
-            other_loss, other_grads = tagger.joint_loss(params, shuffled, weights)
+            other_loss, other_grads = joint_loss(params, shuffled, weights)
             assert abs(other_loss - loss) < 1e-12
             for name in grads:
                 assert np.max(np.abs(other_grads[name] - grads[name])) < 1e-12
@@ -467,6 +495,13 @@ class TestTraining:
         config = small_config(learning_rate=1e308, epochs=3, batch_size=4)
         with pytest.raises(DivergenceError, match="non-finite loss"), np.errstate(all="ignore"):
             tagger.train(data, config)
+
+    def test_last_step_overflow_rejected(self):
+        # the loss is checked before each step; with one batch the overflow comes after it
+        config = small_config(learning_rate=1e300, w_intent=1e100, batches_per_epoch=1)
+        message = "training diverged: parameter emb holds non-finite values after the last step"
+        with pytest.raises(StructuralError, match=message), np.errstate(all="ignore"):
+            tagger.train(overfit_corpus(), config)
 
     def test_divergence_carries_location(self):
         err = DivergenceError(epoch=2, batch=7)
@@ -658,7 +693,9 @@ class TestCheckpoint:
         payload["params"]["b_fwd"]["shape"] = [1]
         payload["params"]["b_fwd"]["data"] = base64.b64encode(bytes(8)).decode()
         path.write_text(json.dumps(payload))
-        with pytest.raises(StructuralError, match=r"model\.json: parameter b_fwd: shape \(1,\)"):
+        with pytest.raises(
+            StructuralError, match=r"model\.json: parameter b_fwd: shape \[1\], expected \[4\]"
+        ):
             tagger.load_model(path)
 
     def test_non_finite_tensor_rejected(self, tmp_path):
@@ -683,9 +720,15 @@ class TestCheckpoint:
         pytest.param(lambda e: e.update(data=[0.0] * 72),
                      "data must be a base64 string", id="data_list"),
         pytest.param(lambda e: e.update(data=0.5), "data must be a base64 string", id="data_number"),
-        pytest.param(lambda e: e.update(shape=[-8, -9]), "non-negative", id="negative_dim"),
-        # numpy's own wording for this one varies by version
-        pytest.param(lambda e: e.update(shape=[0, 2**70], data=""), "", id="dims_numpy_cannot_hold"),
+        pytest.param(lambda e: e.update(shape=[-8, -9]),
+                     r"shape \[-8, -9\], expected \[8, 9\]", id="negative_dim"),
+        # a declared shape is compared with the expected one before any data is read
+        pytest.param(lambda e: e.update(shape=[0, 2**70], data=""),
+                     r"shape \[0, 1180591620717411303424\], expected \[8, 9\]",
+                     id="dims_numpy_cannot_hold"),
+        pytest.param(lambda e: e.update(shape=[8.0, 9]),
+                     r"shape \[8\.0, 9\], expected \[8, 9\]", id="float_dim"),
+        pytest.param(lambda e: e.update(shape="8x9"), "shape '8x9', expected", id="shape_string"),
     ])
     def test_bad_tensor_field(self, tmp_path, corrupt, message):
         model, _ = tagger.train(overfit_corpus(), small_config(epochs=1))
