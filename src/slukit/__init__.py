@@ -1,14 +1,7 @@
-"""Evaluation and cross-lingual transfer toolkit for intent and slot data."""
+"""Evaluation and cross-lingual transfer toolkit for intent and slot data.
+
+Importing the package loads no submodule; import each one by name
+(``from slukit import tagger``).
+"""
 
 __version__ = "0.1.0"
-
-from . import (  # noqa: F401
-    bio,
-    corpus,
-    homogenize,
-    metrics,
-    projection,
-    sampler,
-    significance,
-    tagger,
-)

@@ -10,7 +10,9 @@ given path, plus manifest extras.
 input digests, seed, tool version, extras) beside ``--out``, or in the
 working directory when there is none. SLUKIT_OUT_DIR redirects relative
 output paths. Exit codes: 0 success, 1 module error (message on stderr),
-2 usage error.
+2 usage error. The handlers that need numpy (``project``, ``train``,
+``predict``, ``significance``) import their module in their first line,
+so the other commands start without loading numpy.
 """
 
 from __future__ import annotations
@@ -26,7 +28,8 @@ import sys
 from contextlib import contextmanager, suppress
 from pathlib import Path
 
-from . import __version__, corpus, homogenize, metrics, projection, sampler, significance, tagger
+from . import __version__, corpus, homogenize, metrics, sampler
+from .config import TrainConfig
 from .errors import ToolkitError
 
 OUT_DIR_ENV = "SLUKIT_OUT_DIR"
@@ -121,10 +124,6 @@ def _load_dataset(path: str, digests: dict[str, str]) -> corpus.Dataset:
         return corpus.parse_dataset(text, name=Path(path).stem)
 
 
-def _load_model(path: str, digests: dict[str, str]) -> tagger.TaggerModel:
-    return tagger.loads_model(_read_text(path, digests), path)
-
-
 def _write_manifest(args, digests: dict[str, str], target: Path, extra: dict) -> None:
     """Record enough to replay the run: flags, input digests, seed, version."""
     config = {k: v for k, v in vars(args).items() if k != "handler" and not k.startswith("_")}
@@ -158,6 +157,8 @@ def _cmd_evaluate(args, digests):
 
 
 def _cmd_project(args, digests):
+    from . import projection
+
     src = _load_dataset(args.src, digests)
     alignments = projection.parse_alignments(_read_text(args.align, digests))
     projected = projection.project_dataset(src, alignments)
@@ -205,12 +206,14 @@ def _cmd_schedule(args, digests):
 
 
 def _cmd_train(args, digests):
+    from . import tagger
+
     data = _load_dataset(args.train, digests)
     mlm_sentences = None
     if args.mlm:
         mlm_sentences = [s for s in map(str.split, _read_text(args.mlm, digests).splitlines()) if s]
-    hyper = {f.name: getattr(args, f.name) for f in dataclasses.fields(tagger.TrainConfig)}
-    config = tagger.TrainConfig(**hyper)
+    hyper = {f.name: getattr(args, f.name) for f in dataclasses.fields(TrainConfig)}
+    config = TrainConfig(**hyper)
     with _naming(args.out):  # an error names the model file it leaves unwritten
         model, log = tagger.train(data, config, mlm_sentences)
     for entry in log:
@@ -221,7 +224,9 @@ def _cmd_train(args, digests):
 
 
 def _cmd_predict(args, digests):
-    model = _load_model(args.model, digests)
+    from . import tagger
+
+    model = tagger.loads_model(_read_text(args.model, digests), args.model)
     data = _load_dataset(args.infile, digests)
     return {"out": corpus.write_dataset(tagger.predict_dataset(model, data))}, {}
 
@@ -263,9 +268,13 @@ def _cmd_correlate(args, digests):
 
 
 def _cmd_significance(args, digests):
+    from . import significance
+
     text = _read_text(args.scores, digests)
     with _naming(args.scores):
         cells = significance.parse_scores_csv(text)
+        if not cells:
+            raise ToolkitError("no score rows")
         metrics_present = sorted({metric for _, _, metric in cells})
         metric = args.metric
         if metric is None:
@@ -352,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mlm", help="raw text file (one tokenised sentence per line)")
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, required=True)
-    for field in dataclasses.fields(tagger.TrainConfig):  # defaults live in TrainConfig only
+    for field in dataclasses.fields(TrainConfig):  # defaults live in TrainConfig only
         if field.name != "seed":
             kind = float if isinstance(field.default, float) else int
             p.add_argument(f"--{field.name.replace('_', '-')}", type=kind, default=field.default)

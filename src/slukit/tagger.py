@@ -35,6 +35,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import bio
+from .config import TrainConfig
 from .corpus import Dataset, Utterance
 from .errors import DivergenceError, StructuralError
 from .sampler import InstanceCycler, TaskSpec, schedule_epoch
@@ -150,59 +151,6 @@ def build_vocab(datasets, min_count: int = 1, extra_sentences=()) -> Vocab:
     )
     tags = ("O",) + tuple(sorted(f"{p}-{lab}" for lab in labels for p in "BI"))
     return Vocab(RESERVED_TOKENS + tuple(kept), tags, tuple(sorted(intents)))
-
-
-@dataclass(frozen=True)
-class TrainConfig:
-    """Hyperparameters for the joint trainer.
-
-    embed_dim/hidden_dim size the encoder; the loss weights multiply each
-    task's mean cross-entropy in the summed objective; mask_rate is the
-    fraction of auxiliary-text positions selected for the masked-token
-    task; alpha shapes the task sampling distribution. batches_per_epoch
-    defaults to ceil(total instances / batch_size) when left at None.
-    """
-
-    embed_dim: int = 32
-    hidden_dim: int = 32
-    learning_rate: float = 0.5
-    epochs: int = 20
-    batch_size: int = 8
-    seed: int = 0
-    w_intent: float = 1.0
-    w_slot: float = 1.0
-    w_mlm: float = 0.01
-    mask_rate: float = 0.15
-    alpha: float = 0.5
-    min_count: int = 1
-    batches_per_epoch: int | None = None
-    max_mlm_sentences: int = 100_000
-
-    def __post_init__(self):
-        for name in ("learning_rate", "w_intent", "w_slot", "w_mlm", "mask_rate", "alpha"):
-            if not math.isfinite(getattr(self, name)):
-                raise StructuralError(f"{name} must be finite, got {getattr(self, name)!r}")
-        if self.embed_dim < 1 or self.hidden_dim < 1:
-            raise StructuralError("encoder dimensions must be >= 1")
-        if self.learning_rate < 0:
-            raise StructuralError("learning rate must be >= 0")
-        if self.epochs < 1:
-            raise StructuralError("epochs must be >= 1")
-        if self.batch_size < 1:
-            raise StructuralError("batch size must be >= 1")
-        for name in ("w_intent", "w_slot", "w_mlm"):
-            if getattr(self, name) < 0:
-                raise StructuralError(f"{name} must be >= 0")
-        if not 0 <= self.mask_rate <= 1:
-            raise StructuralError("mask_rate must be in [0, 1]")
-        if self.alpha < 0:
-            raise StructuralError("alpha must be >= 0")
-        if self.min_count < 1:
-            raise StructuralError("min_count must be >= 1")
-        if self.batches_per_epoch is not None and self.batches_per_epoch < 1:
-            raise StructuralError("batches_per_epoch must be >= 1")
-        if self.max_mlm_sentences < 0:
-            raise StructuralError("max_mlm_sentences must be >= 0")
 
 
 # Parameter tensors, by name (d = embed_dim, h = hidden_dim, V = vocab size,
@@ -394,18 +342,24 @@ class Example:
 
 
 def _ce_rows(logits: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row-wise softmax cross-entropy and its unscaled logit gradients."""
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=1))
+    """Row-wise softmax cross-entropy and its unscaled logit gradients.
+
+    Consumes ``logits``: the gradients are written into its buffer.
+    """
+    logits -= logits.max(axis=1, keepdims=True)
+    lse = np.log(np.exp(logits).sum(axis=1))
     rows = np.arange(logits.shape[0])
-    losses = lse - shifted[rows, targets]
-    grads = np.exp(shifted - lse[:, None])
+    losses = lse - logits[rows, targets]
+    logits -= lse[:, None]
+    grads = np.exp(logits, out=logits)
     grads[rows, targets] -= 1.0
     return losses, grads
 
 
 def _logits(params: ModelParams, task: str, feats: np.ndarray) -> np.ndarray:
-    return feats @ params[f"w_{task}"] + params[f"b_{task}"]
+    out = feats @ params[f"w_{task}"]
+    out += params[f"b_{task}"]
+    return out
 
 
 def _loss_and_grads(params, batch, config):
@@ -449,11 +403,11 @@ def _loss_and_grads(params, batch, config):
         if targets.size == 0:
             continue
         feats = all_feats[units]
-        losses, dlogits = _ce_rows(_logits(params, task, feats), targets)
+        losses, scaled = _ce_rows(_logits(params, task, feats), targets)
         weight = getattr(config, f"w_{task}")
         parts[task] = float(losses.sum()) / targets.size
         loss += weight * parts[task]
-        scaled = dlogits * (weight / targets.size)
+        scaled *= weight / targets.size
         grads[f"w_{task}"] = feats.T @ scaled
         grads[f"b_{task}"] = scaled.sum(axis=0)
         d_feats[units] += scaled @ params[f"w_{task}"].T
@@ -550,41 +504,45 @@ def train(
     batches = config.batches_per_epoch or math.ceil(total_instances / config.batch_size)
 
     log: list[EpochStats] = []
-    for epoch in range(config.epochs):
-        schedule = schedule_epoch(tasks, batches, config.alpha, master.randrange(2 ** 32))
-        totals: list[float] = []
-        task_sums = dict.fromkeys(HEADS, 0.0)
-        task_batches = dict.fromkeys(HEADS, 0)
-        for batch_index, (task, _) in enumerate(schedule.draws):
-            if task == SLU_TASK:
-                picks = cyclers[SLU_TASK].next_batch(min(config.batch_size, len(slu_examples)))
-                batch = [slu_examples[i] for i in picks]
-            else:
-                picks = cyclers[MLM_TASK].next_batch(min(config.batch_size, len(mlm_ids)))
-                batch = []
-                for i in picks:
-                    corrupted, targets = mask_tokens(
-                        mlm_ids[i], config.mask_rate, master.randrange(2 ** 32), len(vocab.tokens)
-                    )
-                    if targets:
-                        batch.append(Example(token_ids=tuple(corrupted), mlm_targets=targets))
-                if not batch:
-                    continue  # masking selected nothing in this draw
-            loss, grads, emb_rows, parts = _loss_and_grads(params, batch, config)
-            if not math.isfinite(loss):
-                raise DivergenceError(epoch, batch_index)
-            for name, grad in grads.items():
-                if name == "emb":
-                    params[name][emb_rows] -= config.learning_rate * grad
+    # Non-finite values are caught below (DivergenceError, the tensor check), not by warnings.
+    with np.errstate(all="ignore"):
+        for epoch in range(config.epochs):
+            schedule = schedule_epoch(tasks, batches, config.alpha, master.randrange(2 ** 32))
+            totals: list[float] = []
+            task_sums = dict.fromkeys(HEADS, 0.0)
+            task_batches = dict.fromkeys(HEADS, 0)
+            for batch_index, (task, _) in enumerate(schedule.draws):
+                if task == SLU_TASK:
+                    picks = cyclers[SLU_TASK].next_batch(min(config.batch_size, len(slu_examples)))
+                    batch = [slu_examples[i] for i in picks]
                 else:
-                    params[name] -= config.learning_rate * grad
-            totals.append(loss)
-            for part, value in parts.items():
-                if value is not None:
-                    task_sums[part] += value
-                    task_batches[part] += 1
-        means = {t: task_sums[t] / task_batches[t] if task_batches[t] else None for t in HEADS}
-        log.append(EpochStats(epoch, sum(totals) / len(totals) if totals else 0.0, **means))
+                    picks = cyclers[MLM_TASK].next_batch(min(config.batch_size, len(mlm_ids)))
+                    batch = []
+                    for i in picks:
+                        corrupted, targets = mask_tokens(
+                            mlm_ids[i], config.mask_rate, master.randrange(2 ** 32),
+                            len(vocab.tokens),
+                        )
+                        if targets:
+                            batch.append(Example(token_ids=tuple(corrupted), mlm_targets=targets))
+                    if not batch:
+                        continue  # masking selected nothing in this draw
+                loss, grads, emb_rows, parts = _loss_and_grads(params, batch, config)
+                if not math.isfinite(loss):
+                    raise DivergenceError(epoch, batch_index)
+                for name, grad in grads.items():
+                    grad *= config.learning_rate
+                    if name == "emb":
+                        params[name][emb_rows] -= grad
+                    else:
+                        params[name] -= grad
+                totals.append(loss)
+                for part, value in parts.items():
+                    if value is not None:
+                        task_sums[part] += value
+                        task_batches[part] += 1
+            means = {t: task_sums[t] / task_batches[t] if task_batches[t] else None for t in HEADS}
+            log.append(EpochStats(epoch, sum(totals) / len(totals) if totals else 0.0, **means))
     for name, arr in params.items():
         if not np.isfinite(arr).all():
             raise StructuralError(

@@ -487,6 +487,20 @@ class TestTrainPredict:
         )
         assert not (workdir / "model.json").exists()
 
+    def test_diverging_train_prints_only_the_error(self, workdir):
+        # in a fresh interpreter, numpy's overflow warnings would print before the error line
+        two = make_dataset([["B-a", "O"], ["O", "B-b"]], intents=["x", "y"], name="two")
+        (workdir / "two.txt").write_text(corpus.write_dataset(two))
+        result = subprocess.run(
+            [sys.executable, "-m", "slukit", "train", "--train", "two.txt", "--out", "m.json",
+             "--seed", "0", "--embed-dim", "4", "--hidden-dim", "4", "--epochs", "2",
+             "--learning-rate", "1e300", "--w-intent", "1e100"],
+            capture_output=True, text=True, env=package_env(), cwd=workdir,
+        )
+        assert result.returncode == 1
+        assert result.stderr == "error: m.json: non-finite loss at epoch 1, batch 0\n"
+        assert not (workdir / "m.json").exists()
+
     @pytest.mark.parametrize("field", ["intents", "slot_tags"])
     def test_lone_surrogate_in_checkpoint_vocab(self, workdir, capsys, field):
         self._write_corpus(workdir)
@@ -601,8 +615,9 @@ HUGE = "1" * 200_000  # a field longer than the csv module's limit
     ("scores.csv", f"a,b\n1,{HUGE}\n", CORRELATE, "field larger than field limit (131072)"),
     ("scores.csv", f"{SCORES_CSV}aux,de,f1,9,{HUGE}\n", SIGNIFICANCE,
      "field larger than field limit (131072)"),
+    ("scores.csv", SCORES_CSV.split("\n", 1)[0] + "\n", SIGNIFICANCE, "no score rows"),
 ], ids=["agreement", "correlate", "significance_sample", "significance_line", "two_metrics",
-        "agreement_csv", "correlate_csv", "significance_csv"])
+        "agreement_csv", "correlate_csv", "significance_csv", "header_only"])
 def test_table_errors_name_the_file(workdir, capsys, name, text, argv, message):
     (workdir / name).write_text(text)
     assert cli.run(argv) == 1
@@ -869,6 +884,27 @@ class TestEntryPoints:
         )
         assert result.returncode == 0
         assert result.stdout.strip().startswith("slukit ")
+
+    def test_numpy_commands_run_in_a_fresh_interpreter(self, tmp_path):
+        """The handlers that import their module on first use, each in a new process."""
+        (tmp_path / "src.txt").write_text(CLEAN)
+        (tmp_path / "align.jsonl").write_text(ALIGN)
+        (tmp_path / "scores.csv").write_text(SCORES_CSV)
+        commands = [
+            ["project", "--src", "src.txt", "--align", "align.jsonl", "--out", "tgt.txt"],
+            ["train", "--train", "src.txt", "--out", "model.json", "--seed", "0",
+             "--embed-dim", "2", "--hidden-dim", "2", "--epochs", "1"],
+            ["predict", "--model", "model.json", "--in", "src.txt", "--out", "pred.txt"],
+            ["significance", "--scores", "scores.csv", "--baseline", "base", "--seed", "0",
+             "--boot", "10", "--out", "table.txt"],
+        ]
+        for argv in commands:
+            result = subprocess.run(
+                [sys.executable, "-m", "slukit", *argv],
+                capture_output=True, text=True, env=package_env(), cwd=tmp_path,
+            )
+            assert (result.returncode, result.stderr) == (0, ""), argv[0]
+            assert (tmp_path / argv[argv.index("--out") + 1]).is_file(), argv[0]
 
     @pytest.mark.skipif(
         shutil.which("slukit") is None,

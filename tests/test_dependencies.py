@@ -1,4 +1,5 @@
-"""numpy is the only runtime dependency: importing slukit loads nothing else."""
+"""numpy is the only runtime dependency: importing slukit loads nothing else,
+and the CLI commands that do not compute with numpy never load it."""
 
 import json
 import subprocess
@@ -28,3 +29,41 @@ def test_import_loads_only_stdlib_and_numpy():
     assert "slukit" in loaded and "numpy" in loaded
     allowed = set(sys.stdlib_module_names) | {"numpy", "slukit"}
     assert [name for name in loaded if name not in allowed] == []
+
+
+# The commands that need no numpy, run in process after importing the CLI;
+# prints, per step, whether numpy is loaded by then.
+CLI_PROBE = """
+import json, sys
+from slukit import cli
+steps = [["import", 0, "numpy" in sys.modules]]
+for argv in json.loads(sys.argv[1]):
+    code = cli.run(argv)
+    steps.append([argv[0], code, "numpy" in sys.modules])
+print(json.dumps(steps))
+"""
+
+DATA = "# id: u1\n# text: a b\n# intent: none\n1\ta\tB-x\n2\tb\tO\n"
+OTHER = "# id: u2\n# text: c\n# intent: none\n1\tc\tO\n"
+NUMPY_FREE = [
+    ["validate", "--in", "data.txt"],
+    ["homogenize", "--in", "data.txt", "--map", "map.txt", "--out", "h.txt"],
+    ["merge", "data.txt", "other.txt", "--out", "merged.txt", "--seed", "1"],
+    ["evaluate", "--gold", "data.txt", "--pred", "h.txt"],
+    ["schedule", "--names", "a,b", "--sizes", "3,1", "--batches", "4", "--seed", "0"],
+    ["agreement", "--table", "table.csv"],
+    ["correlate", "--scores", "scores.csv", "--x", "a", "--y", "b"],
+]
+
+
+def test_cli_commands_without_numpy_never_load_it(tmp_path):
+    for name, text in (("data.txt", DATA), ("other.txt", OTHER), ("map.txt", "[slots]\nx\ty\n"),
+                       ("table.csv", "item,yes,no\ni1,2,0\ni2,1,1\n"),
+                       ("scores.csv", "a,b\n1,2\n2,3\n3,5\n")):
+        (tmp_path / name).write_text(text)
+    result = subprocess.run(
+        [sys.executable, "-c", CLI_PROBE, json.dumps(NUMPY_FREE)], capture_output=True,
+        text=True, env=package_env(), cwd=tmp_path, check=True,
+    )
+    steps = json.loads(result.stdout.splitlines()[-1])
+    assert steps == [[name, 0, False] for name in ["import"] + [a[0] for a in NUMPY_FREE]]
