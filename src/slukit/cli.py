@@ -2,17 +2,17 @@
 
 ``run`` does all file I/O. It checks every output path first (no two
 on one file, parent made, a directory rejected), so a bad path fails
-before any work. Each ``_cmd_*`` handler reads through ``_read_text``,
-which records the sha256 of the exact bytes it parsed, and returns
-``(outputs, extras)``: per output flag, text or a function that writes a
-given path, plus manifest extras.
+before any work. Each ``_cmd_*`` handler reads an input through
+``_load`` (or ``_read_text``), which records the sha256 of the exact
+bytes it parsed and prefixes an error in them with the path as given,
+and returns ``(outputs, extras)``: per output flag, text or a function
+that writes a given path, plus manifest extras.
 ``run`` writes the outputs atomically, then one manifest (command, flags,
 input digests, seed, tool version, extras) beside ``--out``, or in the
-working directory when there is none. SLUKIT_OUT_DIR redirects relative
-output paths. Exit codes: 0 success, 1 module error (message on stderr),
-2 usage error. The handlers that need numpy (``project``, ``train``,
-``predict``, ``significance``) import their module in their first line,
-so the other commands start without loading numpy.
+working directory when there is none. Exit codes: 0 success, 1 module
+error (message on stderr), 2 usage error. The handlers that need numpy
+(``project``, ``train``, ``predict``, ``significance``) import their
+module in their first line, so the other commands never load it.
 """
 
 from __future__ import annotations
@@ -32,16 +32,7 @@ from . import __version__, corpus, homogenize, metrics, sampler
 from .config import TrainConfig
 from .errors import ToolkitError
 
-OUT_DIR_ENV = "SLUKIT_OUT_DIR"
 OUT_FLAGS = ("out", "json")  # every output flag; the manifest goes beside --out
-
-
-def _resolve_out(path: str) -> Path:
-    base = os.environ.get(OUT_DIR_ENV)
-    p = Path(path)
-    if base and not p.is_absolute():
-        return Path(base) / p
-    return p
 
 
 def _read_text(path: str, digests: dict[str, str]) -> str:
@@ -118,10 +109,12 @@ def _naming(path: str):
         raise ToolkitError(f"{path}: {err}") from None
 
 
-def _load_dataset(path: str, digests: dict[str, str]) -> corpus.Dataset:
+def _load(path: str, digests: dict[str, str], parse=None):
+    """Read ``path`` and return ``parse(text)``, a dataset by default; errors name ``path``."""
     text = _read_text(path, digests)
     with _naming(path):
-        return corpus.parse_dataset(text, name=Path(path).stem)
+        # looked up per call, so a wrapper put on corpus.parse_dataset sees every parse
+        return (parse or corpus.parse_dataset)(text)
 
 
 def _write_manifest(args, digests: dict[str, str], target: Path, extra: dict) -> None:
@@ -139,7 +132,7 @@ def _write_manifest(args, digests: dict[str, str], target: Path, extra: dict) ->
 
 
 def _cmd_validate(args, digests):
-    issues = corpus.validate(_load_dataset(args.infile, digests))
+    issues = corpus.validate(_load(args.infile, digests))
     for issue in issues:
         print(f"{issue.utterance_id}\t{issue.position}\t{issue.kind.value}")
     print(f"issues\t{len(issues)}")
@@ -147,8 +140,8 @@ def _cmd_validate(args, digests):
 
 
 def _cmd_evaluate(args, digests):
-    gold = _load_dataset(args.gold, digests)
-    pred = _load_dataset(args.pred, digests)
+    gold = _load(args.gold, digests)
+    pred = _load(args.pred, digests)
     report = metrics.strict_f1(gold, pred)
     text = metrics.format_report(report)
     sys.stdout.write(text)
@@ -159,15 +152,15 @@ def _cmd_evaluate(args, digests):
 def _cmd_project(args, digests):
     from . import projection
 
-    src = _load_dataset(args.src, digests)
-    alignments = projection.parse_alignments(_read_text(args.align, digests))
+    src = _load(args.src, digests)
+    alignments = _load(args.align, digests, projection.parse_alignments)
     projected = projection.project_dataset(src, alignments)
     return {"out": corpus.write_dataset(projected)}, {}
 
 
 def _cmd_homogenize(args, digests):
-    ds = _load_dataset(args.infile, digests)
-    lmap = homogenize.parse_label_map(_read_text(args.map, digests))
+    ds = _load(args.infile, digests)
+    lmap = _load(args.map, digests, homogenize.parse_label_map)
     out = homogenize.apply_label_map(ds, lmap)
     if args.trim:
         out = homogenize.trim_spans(out, [t for t in args.trim.split(",") if t])
@@ -175,7 +168,7 @@ def _cmd_homogenize(args, digests):
 
 
 def _cmd_merge(args, digests):
-    datasets = [_load_dataset(path, digests) for path in args.inputs]
+    datasets = [_load(path, digests) for path in args.inputs]
     merged = homogenize.merge_shuffle(datasets, args.seed)
     return {"out": corpus.write_dataset(merged)}, {"rng": homogenize.RNG_ALGORITHM}
 
@@ -208,7 +201,7 @@ def _cmd_schedule(args, digests):
 def _cmd_train(args, digests):
     from . import tagger
 
-    data = _load_dataset(args.train, digests)
+    data = _load(args.train, digests)
     mlm_sentences = None
     if args.mlm:
         mlm_sentences = [s for s in map(str.split, _read_text(args.mlm, digests).splitlines()) if s]
@@ -226,8 +219,8 @@ def _cmd_train(args, digests):
 def _cmd_predict(args, digests):
     from . import tagger
 
-    model = tagger.loads_model(_read_text(args.model, digests), args.model)
-    data = _load_dataset(args.infile, digests)
+    model = _load(args.model, digests, tagger.loads_model)
+    data = _load(args.infile, digests)
     return {"out": corpus.write_dataset(tagger.predict_dataset(model, data))}, {}
 
 
@@ -289,6 +282,7 @@ def _cmd_significance(args, digests):
         }
         if not scores:
             raise ToolkitError(f"no rows with metric {metric!r}")
+        significance.baseline_languages(scores, args.baseline)
     table = significance.compare_table(
         scores, args.baseline, alpha=args.alpha, n_boot=args.boot, seed=args.seed
     )
@@ -400,8 +394,8 @@ def build_parser() -> argparse.ArgumentParser:
 def run(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        targets = {f: _resolve_out(getattr(args, f)) for f in OUT_FLAGS if getattr(args, f, None)}
-        primary = targets.get("out") or _resolve_out(args._command)
+        targets = {f: Path(getattr(args, f)) for f in OUT_FLAGS if getattr(args, f, None)}
+        primary = targets.get("out") or Path(args._command)
         manifest = primary.with_name(primary.name + ".manifest.json")
         roles = {f"--{flag}": path for flag, path in targets.items()} | {"the manifest": manifest}
         claimed: dict[str, str] = {}

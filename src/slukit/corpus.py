@@ -90,10 +90,10 @@ class Dataset:
     tuples; a row given in another form (a list of tokens, a plain
     5-tuple) is converted. Inventories are computed at construction, so
     they always equal the union of labels observed in the utterances.
-    Duplicate utterances are retained as distinct records.
+    Duplicate utterances are retained as distinct records. A Dataset has
+    no name: the path it was read from names it, where one is needed.
     """
 
-    name: str
     utterances: tuple[Utterance, ...]
     label_inventory: frozenset[str] = field(init=False)
     intent_inventory: frozenset[str] = field(init=False)
@@ -147,14 +147,14 @@ class Issue:
     kind: bio.IssueKind
 
 
-def parse_dataset(text: str, name: str = "dataset") -> Dataset:
+def parse_dataset(text: str) -> Dataset:
     """Parse the block format into a Dataset.
 
     Extra blank lines between blocks and a trailing blank line are
     tolerated; the canonical form written by write_dataset has exactly
     one separator line and none at the end. Each block is split in bulk;
     only a block that fails the bulk checks is walked line by line, to
-    word the error with its line number.
+    word the error with its line number (the caller adds the file's path).
     """
     utterances = []
     for match in _BLOCK_RE.finditer(text):
@@ -173,10 +173,10 @@ def parse_dataset(text: str, name: str = "dataset") -> Dataset:
                     tuple(cells[2::3]), lines[2][len(_INTENT):],
                 ))
                 continue
-        Dataset(name, utterances)  # a bad row in an earlier block is reported first
+        Dataset(utterances)  # a bad row in an earlier block is reported first
         first = text.count("\n", 0, match.start()) + 1
         _block_error(list(enumerate(match.group().split("\n"), start=first)))
-    return Dataset(name, tuple(utterances))
+    return Dataset(tuple(utterances))
 
 
 def _indices(n: int) -> list[str]:

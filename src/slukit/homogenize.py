@@ -27,7 +27,7 @@ _SECTIONS = ("slots", "intents")
 
 @dataclass(frozen=True)
 class LabelMap:
-    """Slot-label and intent renamings with identity fallback."""
+    """Slot-label and intent renamings with identity fallback; a slot target must form a tag."""
 
     slot_map: Mapping[str, str]
     intent_map: Mapping[str, str]
@@ -37,6 +37,13 @@ class LabelMap:
             for old, new in mapping.items():
                 if not new:
                     raise StructuralError(f"{kind} label {old!r} maps to an empty label")
+                if kind == "slot":
+                    try:
+                        bio.parse_tag("B-" + new)
+                    except StructuralError:
+                        raise StructuralError(
+                            f"slot label {old!r} maps to {new!r}, which cannot form a tag"
+                        ) from None
         object.__setattr__(self, "slot_map", MappingProxyType(dict(self.slot_map)))
         object.__setattr__(self, "intent_map", MappingProxyType(dict(self.intent_map)))
 
@@ -98,7 +105,7 @@ def apply_label_map(ds: Dataset, lmap: LabelMap) -> Dataset:
         )
         for utt in ds
     )
-    return Dataset(ds.name, out)
+    return Dataset(out)
 
 
 def trim_spans(ds: Dataset, leading_tokens) -> Dataset:
@@ -130,7 +137,7 @@ def trim_spans(ds: Dataset, leading_tokens) -> Dataset:
             utt if tags == utt.slot_tags
             else Utterance(utt.id, utt.text, utt.tokens, tags, utt.intent)
         )
-    return Dataset(ds.name, tuple(out))
+    return Dataset(tuple(out))
 
 
 def _splitmix64(state: int) -> tuple[int, int]:
@@ -173,5 +180,4 @@ def merge_shuffle(datasets, seed: int) -> Dataset:
         raise StructuralError("merge_shuffle needs at least one dataset")
     pooled = [utt for ds in datasets for utt in ds]
     order = seeded_permutation(len(pooled), seed)
-    name = "+".join(ds.name for ds in datasets)
-    return Dataset(name, tuple(pooled[i] for i in order))
+    return Dataset(tuple(pooled[i] for i in order))

@@ -158,4 +158,4 @@ def project_dataset(src: Dataset, alignments) -> Dataset:
         projected.append(
             Utterance(utt.id, " ".join(rec.tgt_tokens), rec.tgt_tokens, tuple(tags), utt.intent)
         )
-    return Dataset(f"{src.name}-projected", tuple(projected))
+    return Dataset(tuple(projected))

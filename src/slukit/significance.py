@@ -38,21 +38,16 @@ BOOT_BLOCK = 256
 
 @dataclass(frozen=True)
 class ScoreSample:
-    """Scores for one (system, metric) cell, one value per random seed."""
+    """Scores for one cell, one value per random seed; the cell's key names it."""
 
-    system: str
-    metric: str
     values: tuple[float, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "values", tuple(float(v) for v in self.values))
         if len(self.values) < 2:
-            raise StructuralError(
-                f"sample for system {self.system!r} needs >= 2 values, "
-                f"got {len(self.values)}"
-            )
+            raise StructuralError(f"sample needs >= 2 values, got {len(self.values)}")
         if not all(math.isfinite(v) for v in self.values):
-            raise StructuralError(f"sample for system {self.system!r} has non-finite values")
+            raise StructuralError("sample has non-finite values")
 
 
 def _masses(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -154,6 +149,17 @@ class ComparisonTable:
     dominant_counts: dict[str, int]
 
 
+def baseline_languages(scores: dict, baseline: str) -> tuple[str, ...]:
+    """The sorted languages of ``scores``; the baseline must have a sample for each."""
+    languages = tuple(sorted({lang for _, lang in scores}))
+    if not languages:
+        raise StructuralError("no scores to compare")
+    for lang in languages:
+        if (baseline, lang) not in scores:
+            raise StructuralError(f"baseline {baseline!r} has no sample for language {lang!r}")
+    return languages
+
+
 def compare_table(
     scores: dict[tuple[str, str], ScoreSample],
     baseline: str,
@@ -169,12 +175,7 @@ def compare_table(
     (system, language) cell yields one AsoResult testing dominance of
     the system over the baseline. Deterministic for a given seed.
     """
-    languages = tuple(sorted({lang for _, lang in scores}))
-    if not languages:
-        raise StructuralError("no scores to compare")
-    for lang in languages:
-        if (baseline, lang) not in scores:
-            raise StructuralError(f"baseline {baseline!r} has no sample for language {lang!r}")
+    languages = baseline_languages(scores, baseline)
     systems = sorted({sys for sys, _ in scores if sys != baseline})
     if not 0.0 < alpha < 1.0:
         raise StructuralError("alpha must be in (0, 1)")
@@ -221,11 +222,12 @@ def parse_scores_csv(text: str) -> dict[tuple[str, str, str], ScoreSample]:
         key = (row["system"], row["language"], row["metric"])
         grouped.setdefault(key, []).append(value)
     out = {}
-    for (system, language, metric), values in grouped.items():
+    for key, values in grouped.items():
         try:
-            out[(system, language, metric)] = ScoreSample(system, metric, tuple(values))
+            out[key] = ScoreSample(values)
         except StructuralError as err:
-            raise StructuralError(f"language {language!r}, metric {metric!r}: {err}") from None
+            cell = ", ".join(f"{col} {v!r}" for col, v in zip(SCORE_COLUMNS, key))
+            raise StructuralError(f"{cell}: {err}") from None
     return out
 
 

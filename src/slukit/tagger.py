@@ -592,7 +592,7 @@ def predict_dataset(model: TaggerModel, data: Dataset) -> Dataset:
         Utterance(utt.id, utt.text, utt.tokens, tuple(tags), intent)
         for utt, (intent, tags) in zip(data, decoded)
     )
-    return Dataset(f"{data.name}-predicted", out)
+    return Dataset(out)
 
 
 def save_model(model: TaggerModel, path) -> None:
@@ -642,28 +642,25 @@ def load_model(path) -> TaggerModel:
     Other format versions are not read; a model is regenerated by
     retraining from its manifest.
     """
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
-            text = handle.read()
-        except UnicodeDecodeError as err:
-            raise StructuralError(f"{path}: not a JSON checkpoint: {err}") from None
-    return loads_model(text, path)
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return loads_model(handle.read())
+    except UnicodeDecodeError as err:
+        raise StructuralError(f"{path}: not a JSON checkpoint: {err}") from None
+    except StructuralError as err:
+        raise StructuralError(f"{path}: {err}") from None
 
 
-def loads_model(text: str, path) -> TaggerModel:
-    """Parse the text of a format-2 checkpoint read from ``path``.
+def loads_model(text: str) -> TaggerModel:
+    """Parse the text of a format-2 checkpoint, checking everything `load_model` does.
 
-    Checks everything `load_model` does; ``path`` only names the file in
-    error messages.
+    Errors do not name a file; the caller that read ``text`` adds its path.
     """
     try:
         payload = json.loads(text)
     except ValueError as err:
-        raise StructuralError(f"{path}: not a JSON checkpoint: {err}") from None
-    try:
-        return _model_from_payload(payload)
-    except StructuralError as err:
-        raise StructuralError(f"{path}: {err}") from None
+        raise StructuralError(f"not a JSON checkpoint: {err}") from None
+    return _model_from_payload(payload)
 
 
 def _model_from_payload(payload) -> TaggerModel:

@@ -59,7 +59,7 @@ def random_messy_tags(rng: random.Random, n: int, labels=LABELS) -> list[str]:
     return out
 
 
-def make_dataset(tag_seqs, intents=None, name="toy", prefix="u") -> Dataset:
+def make_dataset(tag_seqs, intents=None, prefix="u") -> Dataset:
     """Wrap tag sequences into a Dataset with synthetic tokens."""
     utts = []
     for k, tags in enumerate(tag_seqs):
@@ -68,7 +68,7 @@ def make_dataset(tag_seqs, intents=None, name="toy", prefix="u") -> Dataset:
         utts.append(
             Utterance(f"{prefix}{k}", " ".join(tokens), tokens, tuple(tags), intent)
         )
-    return Dataset(name, tuple(utts))
+    return Dataset(tuple(utts))
 
 
 # ------------------------------------------------------------- subprocesses
@@ -207,7 +207,7 @@ def walk_aso(a_values, b_values, alpha=0.05, n_boot=1000, seed=0) -> AsoResult:
 # ------------------------------------------------------------ parser oracle
 
 
-def line_parse_dataset(text: str, name: str = "dataset") -> Dataset:
+def line_parse_dataset(text: str) -> Dataset:
     """The block-format parser as a plain line-by-line walk.
 
     This is the package's earlier parser, kept as a reference for the bulk
@@ -229,7 +229,7 @@ def line_parse_dataset(text: str, name: str = "dataset") -> Dataset:
             block.append((lineno, line))
     if block:
         utterances.append(_line_parse_block(block))
-    return Dataset(name, tuple(utterances))
+    return Dataset(tuple(utterances))
 
 
 def _line_parse_block(lines: list[tuple[int, str]]) -> Utterance:
@@ -261,7 +261,7 @@ def _line_parse_block(lines: list[tuple[int, str]]) -> Utterance:
         tokens.append(token)
         tags.append(tag)
     row = Utterance(utt_id, utt_text, tuple(tokens), tuple(tags), intent)
-    Dataset("row", (row,))  # checks the row
+    Dataset((row,))  # checks the row
     return row
 
 
@@ -287,7 +287,7 @@ def overfit_corpus() -> Dataset:
                 ("O", "O", "B-song", "B-when"), "music/play",
             )
         )
-    return Dataset("overfit", tuple(utts))
+    return Dataset(tuple(utts))
 
 
 def plain_sentences(count: int = 300, seed: int = 5) -> list[tuple[str, ...]]:

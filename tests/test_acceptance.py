@@ -63,8 +63,8 @@ def test_strict_f1_matches_bruteforce_oracle():
         gold_seqs.append(random_valid_tags(rng, n))
         pred_seqs.append(random_valid_tags(rng, n))
 
-    gold = make_dataset(gold_seqs, name="gold")
-    pred = make_dataset(pred_seqs, name="pred")
+    gold = make_dataset(gold_seqs)
+    pred = make_dataset(pred_seqs)
     report = metrics.strict_f1(gold, pred)
     micro = report.micro["strict"]
     assert (micro.precision, micro.recall, micro.f1) == oracle_strict_micro(
@@ -74,7 +74,7 @@ def test_strict_f1_matches_bruteforce_oracle():
     # per-instance regime ordering
     for g, p in zip(gold_seqs, pred_seqs):
         single = metrics.strict_f1(
-            make_dataset([g], name="g"), make_dataset([p], name="p")
+            make_dataset([g]), make_dataset([p])
         ).micro
         assert single["strict"].precision <= single["unlabeled"].precision
         assert single["strict"].recall <= single["unlabeled"].recall
@@ -244,7 +244,7 @@ def test_aso_examples_identities_oracle_and_speed():
     iterations at n=m=5 finish in under 1 s; the multiple-comparison level
     for 12 languages is 0.05/12 within 1e-12."""
     def sample(values):
-        return significance.ScoreSample("s", "f1", tuple(values))
+        return significance.ScoreSample(tuple(values))
 
     assert significance.epsilon_w2(sample([2, 3]), sample([0, 1])) == 0.0
     assert significance.epsilon_w2(sample([0, 1]), sample([2, 3])) == 1.0
@@ -290,9 +290,9 @@ def test_aso_examples_identities_oracle_and_speed():
     for k in range(12):
         lang = f"lang{k:02d}"
         vals = [rng12.gauss(0.5, 0.05) for _ in range(3)]
-        scores[("base", lang)] = significance.ScoreSample("base", "f1", tuple(vals))
+        scores[("base", lang)] = significance.ScoreSample(tuple(vals))
         scores[("sys", lang)] = significance.ScoreSample(
-            "sys", "f1", tuple(v + 0.1 for v in vals)
+            tuple(v + 0.1 for v in vals)
         )
     table = significance.compare_table(scores, "base", alpha=0.05, n_boot=50, seed=4)
     assert len(table.languages) == 12

@@ -39,6 +39,14 @@ DIRTY = (
     "2\tb\tI-loc\n"
 )
 
+ALIGN = json.dumps({
+    "id": "u1",
+    "src_tokens": ["wake", "me", "at", "eight"],
+    "tgt_tokens": ["weck", "mich", "um", "acht"],
+    "scores": [[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0],
+               [0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.5, 0.5]],
+}) + "\n"
+
 SCORES_CSV = (
     "system,language,metric,seed,value\n"
     + "".join(f"base,de,f1,{k},{0.50 + 0.01 * k}\n" for k in range(5))
@@ -49,7 +57,6 @@ SCORES_CSV = (
 @pytest.fixture
 def workdir(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    monkeypatch.delenv(cli.OUT_DIR_ENV, raising=False)
     return tmp_path
 
 
@@ -182,7 +189,7 @@ class TestProject:
         assert cli.run(["project", "--src", "src.txt", "--align", "align.jsonl",
                         "--out", "tgt.txt"]) == 1
         err = capsys.readouterr().err
-        assert err == "error: record 'u1': lone surrogate in id or tokens\n"
+        assert err == "error: align.jsonl: record 'u1': lone surrogate in id or tokens\n"
         assert not (workdir / "tgt.txt").exists()
 
 
@@ -229,8 +236,8 @@ class TestHomogenizeMerge:
         (workdir / "a.txt").write_text(CLEAN)
         (workdir / "b.txt").write_text(DIRTY)
         cli.run(["merge", "a.txt", "b.txt", "--out", "merged.txt", "--seed", "5"])
-        a = corpus.parse_dataset(CLEAN, name="a")
-        b = corpus.parse_dataset(DIRTY, name="b")
+        a = corpus.parse_dataset(CLEAN)
+        b = corpus.parse_dataset(DIRTY)
         expected = homogenize.merge_shuffle([a, b], seed=5)
         got = corpus.parse_dataset((workdir / "merged.txt").read_text())
         assert [u.id for u in got] == [u.id for u in expected]
@@ -280,7 +287,7 @@ class TestTrainPredict:
     def _write_corpus(self, workdir):
         seqs = [["O", "B-a"], ["B-b", "O"]] * 4
         intents = ["x", "y"] * 4
-        ds = make_dataset(seqs, intents=intents, name="train")
+        ds = make_dataset(seqs, intents=intents)
         (workdir / "train.txt").write_text(corpus.write_dataset(ds))
 
     def test_train_then_predict_then_evaluate(self, workdir, capsys):
@@ -489,7 +496,7 @@ class TestTrainPredict:
 
     def test_diverging_train_prints_only_the_error(self, workdir):
         # in a fresh interpreter, numpy's overflow warnings would print before the error line
-        two = make_dataset([["B-a", "O"], ["O", "B-b"]], intents=["x", "y"], name="two")
+        two = make_dataset([["B-a", "O"], ["O", "B-b"]], intents=["x", "y"])
         (workdir / "two.txt").write_text(corpus.write_dataset(two))
         result = subprocess.run(
             [sys.executable, "-m", "slukit", "train", "--train", "two.txt", "--out", "m.json",
@@ -599,14 +606,38 @@ class TestAgreementCorrelate:
 SIGNIFICANCE = ["significance", "--scores", "scores.csv", "--baseline", "base", "--seed", "0"]
 CORRELATE = ["correlate", "--scores", "scores.csv", "--x", "a", "--y", "b"]
 HUGE = "1" * 200_000  # a field longer than the csv module's limit
+BAD_DATA = CLEAN.replace("3\tat\tB-datetime\n", "3\tat\n")
+BAD_ROW = "line 6: expected 3 tab-separated columns, got 2"
+OUT = ["--out", "o.txt"]
 
 
 @pytest.mark.parametrize("name,text,argv,message", [
+    ("bad.txt", BAD_DATA, ["validate", "--in", "bad.txt"], BAD_ROW),
+    ("bad.txt", BAD_DATA, ["evaluate", "--gold", "bad.txt", "--pred", "clean.txt"], BAD_ROW),
+    ("bad.txt", BAD_DATA, ["evaluate", "--gold", "clean.txt", "--pred", "bad.txt"], BAD_ROW),
+    ("bad.txt", BAD_DATA, ["project", "--src", "bad.txt", "--align", "align.jsonl", *OUT],
+     BAD_ROW),
+    ("bad.jsonl", ALIGN + "{\n", ["project", "--src", "clean.txt", "--align", "bad.jsonl", *OUT],
+     "line 2: bad JSON: Expecting property name enclosed in double quotes"),
+    ("bad.txt", BAD_DATA, ["homogenize", "--in", "bad.txt", "--map", "map.txt", *OUT], BAD_ROW),
+    ("bad.tsv", "[slots]\na\tb\tc\n", ["homogenize", "--in", "clean.txt", "--map", "bad.tsv", *OUT],
+     "line 2: expected old<TAB>new, got 3 columns"),
+    ("bad.tsv", "[slots]\ndatetime\tnew label\n",
+     ["homogenize", "--in", "clean.txt", "--map", "bad.tsv", *OUT],
+     "slot label 'datetime' maps to 'new label', which cannot form a tag"),
+    ("bad.txt", BAD_DATA, ["merge", "clean.txt", "bad.txt", "--seed", "1", *OUT], BAD_ROW),
+    ("bad.txt", BAD_DATA, ["train", "--train", "bad.txt", "--seed", "0", "--out", "m.json"],
+     BAD_ROW),
+    ("bad.json", '{"format_version": 1}',
+     ["predict", "--model", "bad.json", "--in", "clean.txt", *OUT],
+     "unsupported checkpoint version 1 (this slukit reads 2; retrain)"),
+    ("bad.txt", BAD_DATA, ["predict", "--model", "model.json", "--in", "bad.txt", *OUT],
+     BAD_ROW),
     ("table.csv", "item,yes,no\ni1,3,0\ni2,3\n", ["agreement", "--table", "table.csv"],
      "item 1: ragged row"),
     ("scores.csv", "a,b\n1,2\nnan,3\n", CORRELATE, "correlation needs finite values"),
     ("scores.csv", SCORES_CSV + "aux,de,f1,9,nan\n", SIGNIFICANCE,
-     "language 'de', metric 'f1': sample for system 'aux' has non-finite values"),
+     "system 'aux', language 'de', metric 'f1': sample has non-finite values"),
     ("scores.csv", SCORES_CSV + "aux,de,f1,9,x\n", SIGNIFICANCE, "line 12: bad value 'x'"),
     ("scores.csv", SCORES_CSV + "aux,de,acc,1,0.5\naux,de,acc,2,0.6\n", SIGNIFICANCE,
      "has metrics acc,f1; pick one with --metric"),
@@ -616,10 +647,19 @@ HUGE = "1" * 200_000  # a field longer than the csv module's limit
     ("scores.csv", f"{SCORES_CSV}aux,de,f1,9,{HUGE}\n", SIGNIFICANCE,
      "field larger than field limit (131072)"),
     ("scores.csv", SCORES_CSV.split("\n", 1)[0] + "\n", SIGNIFICANCE, "no score rows"),
-], ids=["agreement", "correlate", "significance_sample", "significance_line", "two_metrics",
-        "agreement_csv", "correlate_csv", "significance_csv", "header_only"])
-def test_table_errors_name_the_file(workdir, capsys, name, text, argv, message):
-    (workdir / name).write_text(text)
+    ("scores.csv", SCORES_CSV.replace(",de,", ",en,", 5), SIGNIFICANCE,
+     "baseline 'base' has no sample for language 'de'"),
+], ids=["validate", "evaluate_gold", "evaluate_pred", "project_src", "project_align",
+        "homogenize_in", "homogenize_map", "homogenize_map_target", "merge", "train",
+        "predict_model", "predict_in", "agreement", "correlate", "significance_sample",
+        "significance_line", "two_metrics", "agreement_csv", "correlate_csv",
+        "significance_csv", "header_only", "significance_baseline"])
+def test_table_errors_name_the_file(fuzz_inputs, capsys, name, text, argv, message):
+    """A malformed file given to any input flag ends in ``error: PATH: message``.
+
+    Every other input of the command is valid (see ``fuzz_inputs``).
+    """
+    (fuzz_inputs / name).write_text(text)
     assert cli.run(argv) == 1
     assert capsys.readouterr().err == f"error: {name}: {message}\n"
 
@@ -742,14 +782,6 @@ class TestOutputsCheckedFirst:
         assert sorted(os.listdir(workdir)) == listing
 
 
-ALIGN = json.dumps({
-    "id": "u1",
-    "src_tokens": ["wake", "me", "at", "eight"],
-    "tgt_tokens": ["weck", "mich", "um", "acht"],
-    "scores": [[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0],
-               [0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.5, 0.5]],
-}) + "\n"
-
 # Valid inputs that the fuzz test garbles; "model.json" is written by the
 # fuzz_inputs fixture.
 FUZZ_SEEDS = {
@@ -848,32 +880,6 @@ class TestFuzz:
         except SystemExit as err:  # argparse usage errors
             code = err.code
         assert code in (0, 1, 2)
-
-
-class TestOutDirRedirect:
-    def test_relative_outputs_redirected(self, workdir, monkeypatch, capsys):
-        outdir = workdir / "runs"
-        monkeypatch.setenv(cli.OUT_DIR_ENV, str(outdir))
-        (workdir / "gold.txt").write_text(CLEAN)
-        code = cli.run([
-            "evaluate", "--gold", "gold.txt", "--pred", "gold.txt",
-            "--out", "report.txt",
-        ])
-        assert code == 0
-        assert (outdir / "report.txt").exists()
-        assert (outdir / "report.txt.manifest.json").exists()
-        assert not (workdir / "report.txt").exists()
-
-    def test_absolute_outputs_untouched(self, workdir, monkeypatch):
-        monkeypatch.setenv(cli.OUT_DIR_ENV, str(workdir / "elsewhere"))
-        (workdir / "gold.txt").write_text(CLEAN)
-        target = workdir / "abs_report.txt"
-        code = cli.run([
-            "evaluate", "--gold", "gold.txt", "--pred", "gold.txt",
-            "--out", str(target),
-        ])
-        assert code == 0
-        assert target.exists()
 
 
 class TestEntryPoints:

@@ -29,7 +29,7 @@ SAMPLE = (
 
 def _one_row(*fields):
     """A Dataset of the one row given; Dataset is where rows are checked."""
-    return corpus.Dataset("d", [corpus.Utterance(*fields)])
+    return corpus.Dataset([corpus.Utterance(*fields)])
 
 
 def _row_error(*fields) -> str:
@@ -112,7 +112,7 @@ class TestUtterance:
             corpus.Utterance("r3", "x", ("x\t",), ("O",), "i"),
         ]
         with pytest.raises(StructuralError) as err:
-            corpus.Dataset("d", rows)
+            corpus.Dataset(rows)
         assert str(err.value) == "utterance 'r1': malformed tag 'B-' at position 0"
 
     def test_within_a_row_the_earlier_check_wins(self):
@@ -123,9 +123,9 @@ class TestUtterance:
     def test_every_dataset_checks_its_rows(self):
         good = corpus.Utterance("a", "x", ("x",), ("O",), "i")
         bad = good._replace(slot_tags=("I-",))
-        ds = corpus.Dataset("d", [good])
+        ds = corpus.Dataset([good])
         with pytest.raises(StructuralError, match="^utterance 'a': malformed tag 'I-'"):
-            corpus.Dataset(ds.name, [*ds, bad])
+            corpus.Dataset([*ds, bad])
 
 
 class TestRowContract:
@@ -137,7 +137,7 @@ class TestRowContract:
             corpus.Utterance("b", "z", ("z",), ("O",), "j"),
             ["c", "w", ["w"], ("O",), "i"],
         ]
-        ds = corpus.Dataset("d", rows)
+        ds = corpus.Dataset(rows)
         assert all(type(utt) is corpus.Utterance for utt in ds)
         assert all(type(utt.tokens) is tuple and type(utt.slot_tags) is tuple for utt in ds)
         assert [tuple(utt) for utt in ds] == [
@@ -150,11 +150,11 @@ class TestRowContract:
 
     def test_canonical_rows_kept_as_given(self):
         rows = (corpus.Utterance("a", "x", ("x",), ("O",), "i"),)
-        assert corpus.Dataset("d", rows).utterances[0] is rows[0]
+        assert corpus.Dataset(rows).utterances[0] is rows[0]
 
     def test_converted_rows_are_checked(self):
         with pytest.raises(StructuralError) as err:
-            corpus.Dataset("d", [("a", "x", ["x\t"], ["O"], "i")])
+            corpus.Dataset([("a", "x", ["x\t"], ["O"], "i")])
         assert str(err.value) == "utterance 'a': token 'x\\t' contains tab or newline"
 
 
@@ -172,15 +172,14 @@ class TestDataset:
         assert [u.id for u in ds] == ["u0", "u1"]
 
     def test_empty_dataset_allowed(self):
-        ds = corpus.Dataset("empty", ())
+        ds = corpus.Dataset(())
         assert len(ds) == 0
         assert ds.label_inventory == frozenset()
 
 
 class TestParse:
     def test_sample(self):
-        ds = corpus.parse_dataset(SAMPLE, name="sample")
-        assert ds.name == "sample"
+        ds = corpus.parse_dataset(SAMPLE)
         assert len(ds) == 2
         first = ds.utterances[0]
         assert first.id == "u1"
@@ -197,7 +196,7 @@ class TestParse:
         ds = make_dataset([["O"] * 1000])
         text = corpus.write_dataset(ds)
         assert text.endswith("\n1000\ttok999\tO\n")
-        assert corpus.parse_dataset(text, name=ds.name) == ds
+        assert corpus.parse_dataset(text) == ds
 
     def test_extra_blank_lines_tolerated(self):
         padded = "\n\n" + SAMPLE.replace("\n\n", "\n\n\n") + "\n\n"
@@ -209,7 +208,7 @@ class TestParse:
         seqs = [random_messy_tags(rng, rng.randint(1, 8)) for _ in range(50)]
         ds = make_dataset(seqs, intents=[f"i{k % 3}" for k in range(50)])
         text = corpus.write_dataset(ds)
-        again = corpus.parse_dataset(text, name=ds.name)
+        again = corpus.parse_dataset(text)
         assert again == ds
         assert corpus.write_dataset(again) == text
 
@@ -333,7 +332,7 @@ def block_text(draw) -> str:
         tokens = draw(st.lists(TOKENS, min_size=n, max_size=n))
         tags = draw(st.lists(TAGS, min_size=n, max_size=n))
         utts.append(corpus.Utterance(f"u{k}", " ".join(tokens), tokens, tags, "i"))
-    text = corpus.write_dataset(corpus.Dataset("d", utts))
+    text = corpus.write_dataset(corpus.Dataset(utts))
     kind = draw(st.sampled_from(
         ["canonical", "blank", "crlf", "crlf_normalised", "garbled", "moved_tab"]))
     if kind == "blank":
@@ -361,7 +360,7 @@ def block_text(draw) -> str:
 
 def _outcome(parse, text):
     try:
-        return parse(text, name="d")
+        return parse(text)
     except ToolkitError as err:
         return type(err), str(err)
 

@@ -100,26 +100,21 @@ class TestApplyLabelMap:
         assert out.utterances[0].slot_tags == ("B-other", "O")
 
     def test_renamed_tags_are_checked(self):
-        # a map target with a space makes a malformed tag; the Dataset the
-        # transform builds rejects it, naming the row
-        ds = make_dataset([["O"], ["O", "B-x", "I-x"]])
-        lmap = homogenize.LabelMap({"x": "a b"}, {})
+        # a map target with a space cannot form a tag: the map is rejected
+        # as it is read, before any dataset is renamed
         with pytest.raises(StructuralError) as err:
-            homogenize.apply_label_map(ds, lmap)
-        assert str(err.value) == "utterance 'u1': malformed tag 'B-a b' at position 1"
+            homogenize.parse_label_map("[slots]\nx\ta b\n")
+        assert str(err.value) == "slot label 'x' maps to 'a b', which cannot form a tag"
 
 
 class TestTrimSpans:
     def _utt(self, tokens, tags):
-        return Dataset(
-            "t",
-            (Utterance("u0", " ".join(tokens), tuple(tokens), tuple(tags), "x"),),
-        )
+        return Dataset((Utterance("u0", " ".join(tokens), tuple(tokens), tuple(tags), "x"),))
 
     def test_unchanged_rows_passed_through(self):
         ds = make_dataset([["B-loc", "I-loc"], ["O", "I-loc"], ["B-loc", "O"]])
-        ds = Dataset(ds.name, [ds.utterances[0], ds.utterances[1],
-                               ds.utterances[2]._replace(tokens=("the", "x"))])
+        ds = Dataset([ds.utterances[0], ds.utterances[1],
+                      ds.utterances[2]._replace(tokens=("the", "x"))])
         out = homogenize.trim_spans(ds, ["the"])
         assert out.utterances[0] is ds.utterances[0]
         assert out.utterances[1].slot_tags == ("O", "B-loc")  # repaired
@@ -200,14 +195,13 @@ class TestSeededPermutation:
 
 class TestMergeShuffle:
     def _two(self):
-        a = make_dataset([["O"], ["B-x"]], name="a", prefix="a")
-        b = make_dataset([["O", "O"], ["B-y"], ["O"]], name="b", prefix="b")
+        a = make_dataset([["O"], ["B-x"]], prefix="a")
+        b = make_dataset([["O", "O"], ["B-y"], ["O"]], prefix="b")
         return a, b
 
-    def test_union_and_name(self):
+    def test_union(self):
         a, b = self._two()
         merged = homogenize.merge_shuffle([a, b], seed=3)
-        assert merged.name == "a+b"
         assert len(merged) == 5
         assert sorted(u.id for u in merged) == ["a0", "a1", "b0", "b1", "b2"]
 

@@ -13,8 +13,8 @@ from support import make_dataset, oracle_strict_micro, random_valid_tags
 
 
 def _pair(gold_seqs, pred_seqs, gold_intents=None, pred_intents=None):
-    gold = make_dataset(gold_seqs, intents=gold_intents, name="gold")
-    pred = make_dataset(pred_seqs, intents=pred_intents, name="pred")
+    gold = make_dataset(gold_seqs, intents=gold_intents)
+    pred = make_dataset(pred_seqs, intents=pred_intents)
     return gold, pred
 
 
@@ -143,7 +143,7 @@ class TestIntentAccuracy:
         from slukit.corpus import Dataset
 
         with pytest.raises(StructuralError, match="empty"):
-            metrics.intent_accuracy(Dataset("g", ()), Dataset("p", ()))
+            metrics.intent_accuracy(Dataset(()), Dataset(()))
 
 
 class TestAgreementTable:

@@ -242,7 +242,6 @@ class TestProjectDataset:
         rng = random.Random(34)
         src, records = self._setup(rng)
         out = projection.project_dataset(src, records)
-        assert out.name == "toy-projected"
         assert len(out) == len(src)
         for utt, rec, src_utt in zip(out, records, src):
             assert utt.tokens == rec.tgt_tokens

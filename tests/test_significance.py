@@ -20,8 +20,8 @@ finite_floats = st.floats(
 )
 
 
-def _sample(values, system="sys", metric="f1"):
-    return significance.ScoreSample(system, metric, tuple(values))
+def _sample(values):
+    return significance.ScoreSample(tuple(values))
 
 
 CSV_TEXT = (
@@ -293,11 +293,9 @@ class TestCompareTable:
         scores = {}
         for lang in ("de", "it", "ja"):
             base = [rng.gauss(0.5, 0.02) for _ in range(5)]
-            scores[("base", lang)] = _sample(base, system="base")
-            scores[("better", lang)] = _sample(
-                [v + 0.3 for v in base], system="better"
-            )
-            scores[("same", lang)] = _sample(base, system="same")
+            scores[("base", lang)] = _sample(base)
+            scores[("better", lang)] = _sample([v + 0.3 for v in base])
+            scores[("same", lang)] = _sample(base)
         return scores
 
     def test_bonferroni_and_counts(self):

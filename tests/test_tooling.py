@@ -52,7 +52,6 @@ def _traced_counts(tracer, argv):
 
 def test_traced_run_reads_each_input_once(tracer, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    monkeypatch.delenv(cli.OUT_DIR_ENV, raising=False)
     (tmp_path / "data.txt").write_text(DATA)
     (tmp_path / "map.txt").write_text(MAP)
     config = tagger.TrainConfig(embed_dim=2, hidden_dim=2, epochs=1)
