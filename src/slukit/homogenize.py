@@ -35,15 +35,7 @@ class LabelMap:
     def __post_init__(self):
         for kind, mapping in (("slot", self.slot_map), ("intent", self.intent_map)):
             for old, new in mapping.items():
-                if not new:
-                    raise StructuralError(f"{kind} label {old!r} maps to an empty label")
-                if kind == "slot":
-                    try:
-                        bio.parse_tag("B-" + new)
-                    except StructuralError:
-                        raise StructuralError(
-                            f"slot label {old!r} maps to {new!r}, which cannot form a tag"
-                        ) from None
+                _check_target(kind, old, new)
         object.__setattr__(self, "slot_map", MappingProxyType(dict(self.slot_map)))
         object.__setattr__(self, "intent_map", MappingProxyType(dict(self.intent_map)))
 
@@ -54,12 +46,26 @@ class LabelMap:
         return self.intent_map.get(label, label)
 
 
+def _check_target(kind: str, old: str, new: str) -> None:
+    """Raise StructuralError unless ``new`` is a usable ``kind`` label ("slot" or "intent")."""
+    if not new:
+        raise StructuralError(f"{kind} label {old!r} maps to an empty label")
+    if kind == "slot":
+        try:
+            bio.parse_tag("B-" + new)
+        except StructuralError:
+            raise StructuralError(
+                f"slot label {old!r} maps to {new!r}, which cannot form a tag"
+            ) from None
+
+
 def parse_label_map(text: str) -> LabelMap:
     """Read a label map file.
 
     Format: ``[slots]`` and ``[intents]`` section headers, one
     ``old<TAB>new`` pair per line, ``#`` comment lines and blank lines
-    ignored. Duplicate keys within a section are rejected.
+    ignored. Duplicate keys within a section are rejected, and each
+    target is checked as `LabelMap` checks it, on the line that holds it.
     """
     maps: dict[str, dict[str, str]] = {name: {} for name in _SECTIONS}
     section: str | None = None
@@ -83,6 +89,10 @@ def parse_label_map(text: str) -> LabelMap:
         old, new = cols
         if old in maps[section]:
             raise ParseError(f"duplicate key {old!r} in [{section}]", line=lineno)
+        try:
+            _check_target(section[:-1], old, new)  # "slots" -> "slot"
+        except StructuralError as err:
+            raise ParseError(str(err), line=lineno) from None
         maps[section][old] = new
     return LabelMap(maps["slots"], maps["intents"])
 

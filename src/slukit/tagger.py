@@ -1,19 +1,23 @@
 """Joint intent and slot tagger over a small bidirectional recurrent encoder.
 
 A shared encoder (token embeddings into a single-layer tanh recurrence run
-in both directions) feeds three linear heads: an intent classifier over
+in both directions) feeds three heads: a linear intent classifier over
 the sentence vector (final forward and final backward state concatenated),
-a per-token slot classifier, and a masked-token classifier used as an
-auxiliary objective on raw text. Task losses are mean cross-entropies
-combined as a weighted sum; decoding is greedy argmax with the tag
-sequence repaired into valid BIO.
+a linear per-token slot classifier, and a masked-token classifier used as
+an auxiliary objective on raw text. The masked-token head is tied to the
+embedding, as in BERT: it projects a token state into embedding space and
+scores it against every embedding row. Task losses are mean
+cross-entropies combined as a weighted sum; decoding is greedy argmax
+with the tag sequence repaired into valid BIO.
 
 Training and prediction share one engine: a batch of sequences is padded
 to [B, T] with <pad>, the input projections are one matmul per direction,
 and the recurrence and its backpropagation run in [B, h] steps, with the
 weight gradients formed as matmuls after the time loop. An SGD step
 touches only the tensors its batch used: the heads of the tasks present
-and the embedding rows of the ids present.
+and the embedding rows of the ids present, or, in a batch with
+masked-token targets, the whole embedding, since the tied head reads
+every row.
 
 Everything runs in float64 numpy with hand-written backpropagation and
 plain fixed-rate SGD, so training is bit-reproducible for a given seed
@@ -56,7 +60,7 @@ HEADS = ("intent", "slot", "mlm")
 SLU_TASK = "slu"
 MLM_TASK = "mlm"
 
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 # Checkpoint tensors are stored as little-endian float64 bytes.
 TENSOR_DTYPE = "<f8"
 
@@ -157,11 +161,12 @@ def build_vocab(datasets, min_count: int = 1, extra_sentences=()) -> Vocab:
 # K_int = intents, K_slot = slot tags):
 #   emb          [V, d]      w_intent  [2h, K_int]   b_intent  [K_int]
 #   w_fwd_in     [d, h]      w_slot    [2h, K_slot]  b_slot    [K_slot]
-#   w_fwd_state  [h, h]      w_mlm     [2h, V]       b_mlm     [V]
+#   w_fwd_state  [h, h]      w_mlm     [2h, d]       b_mlm     [V]
 #   b_fwd        [h]
 #   w_bwd_in     [d, h]
 #   w_bwd_state  [h, h]
 #   b_bwd        [h]
+# w_mlm projects into embedding space; the mlm logits are (feats @ w_mlm) @ emb.T + b_mlm.
 ModelParams = dict[str, np.ndarray]
 
 
@@ -179,7 +184,7 @@ def _param_shapes(config: TrainConfig, vocab: Vocab) -> dict[str, tuple[int, ...
         "b_bwd": (h,),
     }
     for task, classes in zip(HEADS, (len(vocab.intents), len(vocab.slot_tags), v)):
-        shapes[f"w_{task}"] = (2 * h, classes)
+        shapes[f"w_{task}"] = (2 * h, d if task == "mlm" else classes)
         shapes[f"b_{task}"] = (classes,)
     return shapes
 
@@ -344,14 +349,16 @@ class Example:
 def _ce_rows(logits: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Row-wise softmax cross-entropy and its unscaled logit gradients.
 
-    Consumes ``logits``: the gradients are written into its buffer.
+    Consumes ``logits``: the gradients are written into its buffer, which
+    is exponentiated once.
     """
-    logits -= logits.max(axis=1, keepdims=True)
-    lse = np.log(np.exp(logits).sum(axis=1))
     rows = np.arange(logits.shape[0])
-    losses = lse - logits[rows, targets]
-    logits -= lse[:, None]
+    logits -= logits.max(axis=1, keepdims=True)
+    picked = logits[rows, targets]
     grads = np.exp(logits, out=logits)
+    sums = grads.sum(axis=1)
+    losses = np.log(sums) - picked
+    grads /= sums[:, None]
     grads[rows, targets] -= 1.0
     return losses, grads
 
@@ -371,7 +378,9 @@ def _loss_and_grads(params, batch, config):
     tokens for slots, masked positions for mlm.
     Gradients cover only the tensors the batch touches: the encoder
     always, a head only when its task is present. Their "emb" entry holds
-    just the rows listed in the embedding-rows array.
+    just the rows the embedding-rows index selects: the distinct ids of
+    the batch, or every row (``slice(None)``) when the batch has mlm
+    targets, because the tied mlm head scores against the whole embedding.
     """
     batch = list(batch)
     if not batch:
@@ -399,20 +408,37 @@ def _loss_and_grads(params, batch, config):
     grads: dict[str, np.ndarray] = {}
     parts: dict[str, float | None] = dict.fromkeys(HEADS)
     loss = 0.0
+    tied_emb = None
     for task, (all_feats, d_feats, units, targets) in zip(HEADS, table):
         if targets.size == 0:
             continue
         feats = all_feats[units]
-        losses, scaled = _ce_rows(_logits(params, task, feats), targets)
+        w = params[f"w_{task}"]
+        if task == "mlm":  # tied: the logits are proj @ emb.T + b
+            proj = feats @ w
+            logits = proj @ params["emb"].T
+            logits += params["b_mlm"]
+        else:
+            logits = _logits(params, task, feats)
+        losses, scaled = _ce_rows(logits, targets)
         weight = getattr(config, f"w_{task}")
         parts[task] = float(losses.sum()) / targets.size
         loss += weight * parts[task]
         scaled *= weight / targets.size
-        grads[f"w_{task}"] = feats.T @ scaled
         grads[f"b_{task}"] = scaled.sum(axis=0)
-        d_feats[units] += scaled @ params[f"w_{task}"].T
+        if task == "mlm":
+            d_proj = scaled @ params["emb"]
+            tied_emb = scaled.T @ proj
+            grads["w_mlm"] = feats.T @ d_proj
+            d_feats[units] += d_proj @ w.T
+        else:
+            grads[f"w_{task}"] = feats.T @ scaled
+            d_feats[units] += scaled @ w.T
 
     encoder_grads, emb_rows = _backward(cache, d_token_states, d_sent)
+    if tied_emb is not None:
+        np.add.at(tied_emb, emb_rows, encoder_grads["emb"])
+        encoder_grads["emb"], emb_rows = tied_emb, slice(None)
     grads.update(encoder_grads)
     return float(loss), grads, emb_rows, parts
 
@@ -596,7 +622,7 @@ def predict_dataset(model: TaggerModel, data: Dataset) -> Dataset:
 
 
 def save_model(model: TaggerModel, path) -> None:
-    """Write a format-2 checkpoint: one sorted-key JSON object.
+    """Write a format-3 checkpoint: one sorted-key JSON object.
 
     It holds ``format_version``, the ``config`` fields, the ``vocab``
     inventories and ``params``, where each tensor is ``{"shape": [...],
@@ -632,7 +658,7 @@ def _write_params(handle, params: dict[str, np.ndarray]) -> None:
 
 
 def load_model(path) -> TaggerModel:
-    """Load a format-2 checkpoint written by `save_model`.
+    """Load a format-3 checkpoint written by `save_model`.
 
     Every field is checked: the version, the config and vocab, then the
     tensors. Their names must be the ones the config and vocab imply, and
@@ -652,7 +678,7 @@ def load_model(path) -> TaggerModel:
 
 
 def loads_model(text: str) -> TaggerModel:
-    """Parse the text of a format-2 checkpoint, checking everything `load_model` does.
+    """Parse the text of a format-3 checkpoint, checking everything `load_model` does.
 
     Errors do not name a file; the caller that read ``text`` adds its path.
     """

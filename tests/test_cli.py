@@ -1,5 +1,6 @@
 """Command line interface: subcommands, manifests, exit codes."""
 
+import base64
 import dataclasses
 import errno
 import hashlib
@@ -432,6 +433,8 @@ class TestTrainPredict:
         ("truncate", "model.json: not a JSON checkpoint"),
         ("drop_shape", "parameter b_slot: missing field 'shape'"),
         ("format_1", "error: model.json: unsupported checkpoint version 1"),
+        ("format_2",
+         "error: model.json: unsupported checkpoint version 2 (this slukit reads 3; retrain)"),
     ])
     def test_corrupt_checkpoint(self, workdir, capsys, corruption, message):
         self._write_corpus(workdir)
@@ -443,6 +446,16 @@ class TestTrainPredict:
             payload = json.loads(path.read_text())
             del payload["params"]["b_slot"]["shape"]
             path.write_text(json.dumps(payload))
+        elif corruption == "format_2":  # format 2's layout: an untied [2h, V] w_mlm
+            model = load_model(path)
+            payload = json.loads(path.read_text())
+            payload["format_version"] = 2
+            w_mlm = model.params["w_mlm"] @ model.params["emb"].T
+            payload["params"]["w_mlm"] = {
+                "shape": list(w_mlm.shape), "dtype": "<f8",
+                "data": base64.b64encode(w_mlm.astype("<f8").tobytes()).decode("ascii"),
+            }
+            path.write_text(json.dumps(payload, sort_keys=True))
         else:  # the same model as format 1 wrote it: tensors as flat lists of floats
             model = load_model(path)
             payload = json.loads(path.read_text())
@@ -624,13 +637,16 @@ OUT = ["--out", "o.txt"]
      "line 2: expected old<TAB>new, got 3 columns"),
     ("bad.tsv", "[slots]\ndatetime\tnew label\n",
      ["homogenize", "--in", "clean.txt", "--map", "bad.tsv", *OUT],
-     "slot label 'datetime' maps to 'new label', which cannot form a tag"),
+     "line 2: slot label 'datetime' maps to 'new label', which cannot form a tag"),
+    ("bad.tsv", "[slots]\ndatetime\tdate\n[intents]\nalarm/set\t\n",
+     ["homogenize", "--in", "clean.txt", "--map", "bad.tsv", *OUT],
+     "line 4: intent label 'alarm/set' maps to an empty label"),
     ("bad.txt", BAD_DATA, ["merge", "clean.txt", "bad.txt", "--seed", "1", *OUT], BAD_ROW),
     ("bad.txt", BAD_DATA, ["train", "--train", "bad.txt", "--seed", "0", "--out", "m.json"],
      BAD_ROW),
     ("bad.json", '{"format_version": 1}',
      ["predict", "--model", "bad.json", "--in", "clean.txt", *OUT],
-     "unsupported checkpoint version 1 (this slukit reads 2; retrain)"),
+     "unsupported checkpoint version 1 (this slukit reads 3; retrain)"),
     ("bad.txt", BAD_DATA, ["predict", "--model", "model.json", "--in", "bad.txt", *OUT],
      BAD_ROW),
     ("table.csv", "item,yes,no\ni1,3,0\ni2,3\n", ["agreement", "--table", "table.csv"],
@@ -650,7 +666,8 @@ OUT = ["--out", "o.txt"]
     ("scores.csv", SCORES_CSV.replace(",de,", ",en,", 5), SIGNIFICANCE,
      "baseline 'base' has no sample for language 'de'"),
 ], ids=["validate", "evaluate_gold", "evaluate_pred", "project_src", "project_align",
-        "homogenize_in", "homogenize_map", "homogenize_map_target", "merge", "train",
+        "homogenize_in", "homogenize_map", "homogenize_map_target",
+        "homogenize_map_empty_target", "merge", "train",
         "predict_model", "predict_in", "agreement", "correlate", "significance_sample",
         "significance_line", "two_metrics", "agreement_csv", "correlate_csv",
         "significance_csv", "header_only", "significance_baseline"])

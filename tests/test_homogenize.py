@@ -101,9 +101,9 @@ class TestApplyLabelMap:
 
     def test_renamed_tags_are_checked(self):
         # a map target with a space cannot form a tag: the map is rejected
-        # as it is read, before any dataset is renamed
+        # when it is built, before any dataset is renamed
         with pytest.raises(StructuralError) as err:
-            homogenize.parse_label_map("[slots]\nx\ta b\n")
+            homogenize.LabelMap({"x": "a b"}, {})
         assert str(err.value) == "slot label 'x' maps to 'a b', which cannot form a tag"
 
 

@@ -170,7 +170,9 @@ class TestConfigAndParams:
         assert params["emb"].shape == (8, 4)
         assert params["w_intent"].shape == (8, 2)
         assert params["w_slot"].shape == (8, 5)
-        assert params["w_mlm"].shape == (8, 8)
+        # the mlm head is tied: w_mlm projects into the embedding's d, b_mlm scores V ids
+        assert params["w_mlm"].shape == (8, 4)
+        assert params["b_mlm"].shape == (8,)
         for name, arr in params.items():
             assert arr.dtype == np.float64
             if name.startswith("b_"):
@@ -313,6 +315,37 @@ class TestJointLoss:
         params = tagger.init_params(config, vocab)
         weights = tagger.TrainConfig(w_intent=1.0, w_slot=0.7, w_mlm=0.3)
         assert finite_difference_worst(params, mixed_batch(), weights) < 1e-4
+
+    def test_tied_mlm_head_reaches_every_embedding_row(self):
+        # the mlm logits score against all of emb, so an mlm batch sends
+        # gradient to rows it never reads; an slu batch stays sparse
+        params = tagger.init_params(small_config(seed=12), small_vocab())
+        weights = tagger.TrainConfig(w_mlm=1.0)
+        mlm_only = [
+            tagger.Example(token_ids=(4, 2, 6), mlm_targets=((1, 5),)),
+            tagger.Example(token_ids=(2, 7), mlm_targets=((0, 4),)),
+        ]
+        _, grads, rows, _ = tagger._loss_and_grads(params, mlm_only, weights)
+        assert rows == slice(None) and grads["emb"].shape == params["emb"].shape
+        assert np.all(grads["emb"][tagger.PAD_ID] != 0.0)
+        assert finite_difference_worst(params, mlm_only, weights) < 1e-4
+        slu_only = [tagger.Example(token_ids=(6, 4, 6), intent_id=0, slot_ids=(0, 1, 2))]
+        _, grads, rows, _ = tagger._loss_and_grads(params, slu_only, weights)
+        assert rows.tolist() == [4, 6] and grads["emb"].shape == (2, 4)
+
+    def test_ce_rows_matches_fsum_reference(self):
+        rng = np.random.default_rng(4)
+        logits = rng.uniform(-350.0, 350.0, size=(6, 9))
+        logits[:, 0], logits[:, 1] = -350.0, 350.0  # a spread of 700 in every row
+        targets = np.array([0, 1, 2, 3, 5, 8])
+        losses, grads = tagger._ce_rows(logits.copy(), targets)
+        for row, target in enumerate(targets.tolist()):
+            values = logits[row].tolist()
+            top = max(values)
+            lse = top + math.log(math.fsum(math.exp(v - top) for v in values))
+            assert abs(losses[row] - (lse - values[target])) < 1e-12
+            expected = [math.exp(v - lse) - (j == target) for j, v in enumerate(values)]
+            assert np.max(np.abs(grads[row] - expected)) < 1e-12
 
 
 def ragged_batch():
