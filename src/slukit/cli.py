@@ -204,7 +204,7 @@ def _cmd_train(args, digests):
     data = _load(args.train, digests)
     mlm_sentences = None
     if args.mlm:
-        mlm_sentences = [s for s in map(str.split, _read_text(args.mlm, digests).splitlines()) if s]
+        mlm_sentences = [s for s in map(str.split, _read_text(args.mlm, digests).split("\n")) if s]
     hyper = {f.name: getattr(args, f.name) for f in dataclasses.fields(TrainConfig)}
     config = TrainConfig(**hyper)
     with _naming(args.out):  # an error names the model file it leaves unwritten

@@ -14,7 +14,10 @@ One utterance per block, blocks separated by exactly one blank line::
 Token indices are 1-based and contiguous, written as plain decimals
 (``1``, ``2``, ...; no sign, padding or other digits). Files are UTF-8
 with LF line endings and no trailing blank line; ``write_dataset`` emits
-exactly this shape and ``parse_dataset`` inverts it.
+exactly this shape and ``parse_dataset`` inverts it, in one regex pass
+over the text. In a parsed Dataset, equal tokens, tags and intents share
+one ``str`` object (a corpus has far fewer types than tokens), so
+callers compare them with ``==``, never ``is``.
 """
 
 from __future__ import annotations
@@ -29,7 +32,11 @@ from .errors import ParseError, StructuralError
 _HEADERS = ("# id: ", "# text: ", "# intent: ")
 _ID, _TEXT, _INTENT = _HEADERS
 _BLOCK_RE = re.compile(r"[^\n]+(?:\n[^\n]+)*")  # a maximal run of nonblank lines
-_ROWS_RE = re.compile(r"[^\t\n]*\t[^\t\n]*\t[^\t\n]*(?:\n[^\t\n]*\t[^\t\n]*\t[^\t\n]*)*")
+_ROW = r"[^\t\n]*\t[^\t\n]*\t[^\t\n]*"  # three tab-separated cells
+# blank lines, then one whole block (its header values and its rows), then a blank line or the end
+_UTTERANCE_RE = re.compile(
+    rf"\n*{_ID}([^\n]*)\n{_TEXT}([^\n]*)\n{_INTENT}([^\n]*)\n({_ROW}(?:\n{_ROW})*)(?=\n\n|\n?\Z)"
+)
 _INDEX = [str(k) for k in range(1, 513)]  # the only accepted token index strings, in order
 
 
@@ -148,34 +155,38 @@ class Issue:
 
 
 def parse_dataset(text: str) -> Dataset:
-    """Parse the block format into a Dataset.
+    """Parse the block format into a Dataset, in one pass over the text.
 
-    Extra blank lines between blocks and a trailing blank line are
-    tolerated; the canonical form written by write_dataset has exactly
-    one separator line and none at the end. Each block is split in bulk;
-    only a block that fails the bulk checks is walked line by line, to
-    word the error with its line number (the caller adds the file's path).
+    Extra blank lines before, between and after blocks are tolerated; the
+    canonical form written by write_dataset has exactly one separator line
+    and none at the end. Each block is matched whole by one pattern, and
+    the matches must tile the text up to trailing newlines. At the first
+    block the pattern or the index check rejects, that block is walked
+    line by line to word the error with its line number (the caller adds
+    the file's path). Equal tokens, tags and intents share one ``str``
+    object, so compare them with ``==``, never ``is``.
     """
     utterances = []
-    for match in _BLOCK_RE.finditer(text):
-        lines = match.group().split("\n", 3)
-        if (
-            len(lines) == 4
-            and lines[0].startswith(_ID)
-            and lines[1].startswith(_TEXT)
-            and lines[2].startswith(_INTENT)
-            and _ROWS_RE.fullmatch(lines[3])
-        ):
-            cells = lines[3].replace("\n", "\t").split("\t")
-            if cells[0::3] == _indices(len(cells) // 3):
-                utterances.append(Utterance(
-                    lines[0][len(_ID):], lines[1][len(_TEXT):], tuple(cells[1::3]),
-                    tuple(cells[2::3]), lines[2][len(_INTENT):],
-                ))
-                continue
+    canonical = {}.setdefault  # one object per distinct value: the rows hold no copies
+    end = 0
+    for match in _UTTERANCE_RE.finditer(text):
+        if match.start() != end:
+            break
+        utt_id, utt_text, intent, rows = match.groups()
+        cells = rows.replace("\n", "\t").split("\t")
+        if cells[0::3] != _indices(len(cells) // 3):
+            break
+        tokens, tags = cells[1::3], cells[2::3]
+        utterances.append(Utterance(
+            utt_id, utt_text, tuple(map(canonical, tokens, tokens)),
+            tuple(map(canonical, tags, tags)), canonical(intent, intent),
+        ))
+        end = match.end()
+    block = _BLOCK_RE.search(text, end)  # the first block not parsed, if any
+    if block:
         Dataset(utterances)  # a bad row in an earlier block is reported first
-        first = text.count("\n", 0, match.start()) + 1
-        _block_error(list(enumerate(match.group().split("\n"), start=first)))
+        first = text.count("\n", 0, block.start()) + 1
+        _block_error(list(enumerate(block.group().split("\n"), start=first)))
     return Dataset(tuple(utterances))
 
 

@@ -64,12 +64,14 @@ def parse_label_map(text: str) -> LabelMap:
 
     Format: ``[slots]`` and ``[intents]`` section headers, one
     ``old<TAB>new`` pair per line, ``#`` comment lines and blank lines
-    ignored. Duplicate keys within a section are rejected, and each
-    target is checked as `LabelMap` checks it, on the line that holds it.
+    ignored. Only a line feed ends a line, so a label may hold U+2028 as
+    a dataset's may. Duplicate keys within a section are rejected, and
+    each target is checked as `LabelMap` checks it, on the line that
+    holds it.
     """
     maps: dict[str, dict[str, str]] = {name: {} for name in _SECTIONS}
     section: str | None = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

@@ -106,15 +106,21 @@ def project_labels(src_tags, rec: AlignmentRecord) -> list[str]:
 
 
 def parse_alignments(text: str) -> list[AlignmentRecord]:
-    """Read JSON Lines alignment records.
+    """Read JSON Lines alignment records, one per line-feed-separated line.
 
     Each line is an object with "id", "src_tokens", "tgt_tokens" and
-    "scores" ([source][target]). Blank lines are skipped. Dimension or
-    finiteness problems are reported with the record id, malformed JSON
-    with the line number.
+    "scores" ([source][target]). Only a line feed ends a line, so a
+    string may hold any other character JSON allows raw (U+2028, U+0085).
+    Blank lines are skipped. Dimension or finiteness problems are
+    reported with the record id, malformed JSON with the line number.
     """
     records = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    lineno, start = 0, 0
+    while start < len(text):  # one line at a time: no list of every line
+        stop = text.find("\n", start)
+        if stop < 0:
+            stop = len(text)
+        line, lineno, start = text[start:stop], lineno + 1, stop + 1
         if not line.strip():
             continue
         try:

@@ -571,6 +571,19 @@ class TestTrainFlags:
         assert cli.run(self.REQUIRED) == 1
         assert configs == [tagger.TrainConfig(seed=3)]
 
+    def test_mlm_sentences_end_at_line_feeds_only(self, workdir, monkeypatch):
+        (workdir / "train.txt").write_text(CLEAN)
+        (workdir / "raw.txt").write_text("a b\u2028c\n\nd\x85e\n", encoding="utf-8")
+        sentences = []
+
+        def record(data, config, mlm_sentences):
+            sentences.extend(mlm_sentences)
+            raise StructuralError("stop before training")
+
+        monkeypatch.setattr(tagger, "train", record)
+        assert cli.run(self.REQUIRED + ["--mlm", "raw.txt"]) == 1
+        assert sentences == [["a", "b", "c"], ["d", "e"]]
+
 
 class TestAgreementCorrelate:
     def test_agreement(self, workdir, capsys):

@@ -25,6 +25,7 @@ SAMPLE = (
     "# intent: none\n"
     "1\thello\tO\n"
 )
+THIRD = "# id: u3\n# text: good night\n# intent: none\n1\tgood\tO\n2\tnight\tO\n"
 
 
 def _one_row(*fields):
@@ -313,6 +314,39 @@ class TestParse:
 
     def test_empty_text_gives_empty_dataset(self):
         assert len(corpus.parse_dataset("")) == 0
+
+    @pytest.mark.parametrize("padded", [
+        "\n" + SAMPLE,
+        "\n\n\n" + SAMPLE,
+        SAMPLE + "\n",
+        SAMPLE + "\n\n\n",
+        SAMPLE.replace("\n\n", "\n\n\n\n"),
+    ], ids=["leading", "leading_run", "trailing", "trailing_run", "repeated"])
+    def test_blank_lines_parse_to_the_canonical_dataset(self, padded):
+        assert corpus.parse_dataset(padded) == corpus.parse_dataset(SAMPLE)
+
+    @pytest.mark.parametrize("text,error,message", [
+        (SAMPLE.replace("\n\n", "\n"), ParseError,
+         "line 8: expected 3 tab-separated columns, got 1"),  # no blank line between blocks
+        (SAMPLE + "\n" + THIRD.replace("2\tnight", "3\tnight") + "\n" + SAMPLE,
+         StructuralError, "line 18: token index 3, expected 2"),  # a middle block
+        ("x\n\n" + SAMPLE, StructuralError, "line 1: incomplete utterance block"),
+        (SAMPLE + "junk\n", ParseError, "line 13: expected 3 tab-separated columns, got 1"),
+        (SAMPLE + "\njunk\n", StructuralError, "line 14: incomplete utterance block"),
+    ], ids=["no_blank_line", "middle_block_index", "leading_junk", "trailing_row", "trailing_block"])
+    def test_block_shape_errors(self, text, error, message):
+        with pytest.raises(error) as err:
+            corpus.parse_dataset(text)
+        assert str(err.value) == message
+
+    def test_equal_values_share_one_object(self):
+        ds = corpus.parse_dataset(SAMPLE + "\n" + THIRD + "\n" + SAMPLE.replace("# id: u", "# id: v"))
+        tokens = [token for utt in ds for token in utt.tokens]
+        tags = [tag for utt in ds for tag in utt.slot_tags]
+        intents = [utt.intent for utt in ds]
+        for values in (tokens, tags, intents):
+            assert len(set(values)) < len(values)  # every column repeats a value
+            assert len({id(value) for value in values}) == len(set(values))
 
 
 # Tokens and tags the oracle test draws; garbling splices in the pieces

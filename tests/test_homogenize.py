@@ -65,6 +65,11 @@ class TestParseLabelMap:
         with pytest.raises(ParseError, match="duplicate key 'a'"):
             homogenize.parse_label_map("[slots]\na\tb\na\tc\n")
 
+    def test_only_a_line_feed_ends_a_line(self):
+        # a dataset accepts these characters inside an intent, so a map must too
+        lmap = homogenize.parse_label_map("[intents]\nx\u2028y\tz\nu\x85v\tw\n")
+        assert (lmap.intent("x\u2028y"), lmap.intent("u\x85v")) == ("z", "w")
+
 
 class TestApplyLabelMap:
     def test_prefixes_preserved(self):

@@ -186,6 +186,22 @@ class TestParseAlignments:
         with pytest.raises(ParseError, match="line 2"):
             projection.parse_alignments('{"id": "a", "src_tokens": [], "tgt_tokens": [], "scores": []}\n{nope\n')
 
+    @pytest.mark.parametrize("char", ["\u2028", "\u0085"])
+    def test_only_a_line_feed_ends_a_record(self, char):
+        record = {"id": f"r{char}1", "src_tokens": [f"a{char}b"], "tgt_tokens": ["x"],
+                  "scores": [[0.5]]}
+        line = json.dumps(record, ensure_ascii=False)
+        assert char in line  # raw, not escaped
+        (rec,) = projection.parse_alignments(line + "\n")
+        assert (rec.id, rec.src_tokens) == (f"r{char}1", (f"a{char}b",))
+
+    def test_bad_record_after_blank_lines_names_its_line(self):
+        good = json.dumps({"id": "a\u2028", "src_tokens": [], "tgt_tokens": [], "scores": []},
+                          ensure_ascii=False)
+        with pytest.raises(ParseError) as err:
+            projection.parse_alignments(good + "\n\n  \n" + good + "\n{nope")
+        assert str(err.value).startswith("line 5: bad JSON: ")
+
     def test_missing_field_names_line(self):
         with pytest.raises(ParseError, match="line 1.*missing field"):
             projection.parse_alignments('{"id": "a"}\n')
