@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import StructuralError
 
@@ -22,19 +22,12 @@ _SPLIT_CACHE_MAX = 100_000
 _KNOWN = _SPLIT_CACHE.keys()  # live view: every tag parse_tag has accepted
 
 
-@dataclass(frozen=True, order=True)
-class SlotSpan:
-    """Half-open token interval [start, end) carrying a slot label."""
+class SlotSpan(NamedTuple):
+    """Half-open token interval [start, end) carrying a slot label; tags_from_spans checks it."""
 
     start: int
     end: int
     label: str
-
-    def __post_init__(self):
-        if not 0 <= self.start < self.end:
-            raise StructuralError(f"bad span bounds [{self.start}, {self.end})")
-        if not self.label:
-            raise StructuralError("span label must be nonempty")
 
     def overlaps(self, other: SlotSpan) -> bool:
         return self.start < other.end and other.start < self.end
@@ -162,10 +155,14 @@ def spans_from_tags(tags) -> list[SlotSpan]:
 
 
 def tags_from_spans(spans, length: int) -> list[str]:
-    """Render pairwise disjoint spans as a BIO sequence of the given length."""
+    """Render pairwise disjoint, well-formed spans as a BIO sequence of the given length."""
     tags = ["O"] * length
     prev: SlotSpan | None = None
     for span in sorted(spans, key=lambda s: (s.start, s.end)):
+        if not 0 <= span.start < span.end:
+            raise StructuralError(f"bad span bounds [{span.start}, {span.end})")
+        if not span.label:
+            raise StructuralError("span label must be nonempty")
         if span.end > length:
             raise StructuralError(f"span {span} exceeds sequence length {length}")
         if prev is not None and span.start < prev.end:

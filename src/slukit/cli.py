@@ -24,6 +24,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import sys
 from contextlib import contextmanager, suppress
 from pathlib import Path
@@ -33,6 +34,8 @@ from .config import TrainConfig
 from .errors import ToolkitError
 
 OUT_FLAGS = ("out", "json")  # every output flag; the manifest goes beside --out
+# --mlm tokens split at spaces and tabs only: a dataset token may hold other whitespace (U+00A0).
+_MLM_TOKEN_RE = re.compile(r"[^ \t\n]+")
 
 
 def _read_text(path: str, digests: dict[str, str]) -> str:
@@ -204,7 +207,8 @@ def _cmd_train(args, digests):
     data = _load(args.train, digests)
     mlm_sentences = None
     if args.mlm:
-        mlm_sentences = [s for s in map(str.split, _read_text(args.mlm, digests).split("\n")) if s]
+        lines = _read_text(args.mlm, digests).split("\n")
+        mlm_sentences = [s for s in map(_MLM_TOKEN_RE.findall, lines) if s]
     hyper = {f.name: getattr(args, f.name) for f in dataclasses.fields(TrainConfig)}
     config = TrainConfig(**hyper)
     with _naming(args.out):  # an error names the model file it leaves unwritten

@@ -314,36 +314,19 @@ def encode(params: ModelParams, token_ids) -> tuple[np.ndarray, np.ndarray]:
     return token_states[0], sent[0]
 
 
-@dataclass(frozen=True)
-class Example:
+class Example(NamedTuple):
     """One training sequence; any subset of the supervision fields may be set.
 
     mlm_targets pairs (position, original token id); token_ids is the
-    encoder input, already corrupted for the masked-token task.
+    encoder input, already corrupted for the masked-token task. Nothing is
+    checked here: train builds int tuples, nonempty token_ids, one slot id
+    per token and distinct in-range mlm positions.
     """
 
     token_ids: tuple[int, ...]
     intent_id: int | None = None
     slot_ids: tuple[int, ...] | None = None
     mlm_targets: tuple[tuple[int, int], ...] = ()
-
-    def __post_init__(self):
-        object.__setattr__(self, "token_ids", tuple(self.token_ids))
-        if not self.token_ids:
-            raise StructuralError("example has no tokens")
-        if self.slot_ids is not None:
-            object.__setattr__(self, "slot_ids", tuple(self.slot_ids))
-            if len(self.slot_ids) != len(self.token_ids):
-                raise StructuralError("slot_ids length does not match token_ids")
-        targets = tuple((int(p), int(t)) for p, t in self.mlm_targets)
-        object.__setattr__(self, "mlm_targets", targets)
-        seen = set()
-        for pos, _ in targets:
-            if not 0 <= pos < len(self.token_ids):
-                raise StructuralError(f"mlm target position {pos} out of range")
-            if pos in seen:
-                raise StructuralError(f"duplicate mlm target position {pos}")
-            seen.add(pos)
 
 
 def _ce_rows(logits: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

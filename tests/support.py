@@ -8,9 +8,11 @@ is evidence, not tautology.
 
 from __future__ import annotations
 
+import importlib.util
 import math
 import os
 import random
+import sys
 from fractions import Fraction
 from pathlib import Path
 from statistics import NormalDist
@@ -87,6 +89,20 @@ def package_env() -> dict[str, str]:
     inherited = env.get("PYTHONPATH")
     env["PYTHONPATH"] = root + os.pathsep + inherited if inherited else root
     return env
+
+
+# --------------------------------------------------------- benchmark modules
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def load_perfbench(name: str, monkeypatch):
+    """Import ``perfbench/<name>.py`` as a fresh module, writing no bytecode into perfbench/."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 # ------------------------------------------------------------- span oracles

@@ -1,6 +1,7 @@
 """Tag algebra: parsing, validity scanning, repair, span conversions."""
 
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -55,14 +56,21 @@ class TestSlotSpan:
         assert bio.SlotSpan(0, 2, "a") == bio.SlotSpan(0, 2, "a")
         assert bio.SlotSpan(0, 1, "a") < bio.SlotSpan(1, 2, "a")
 
+    def test_is_a_plain_record(self):
+        span = bio.SlotSpan(0, 2, "a")
+        assert isinstance(span, tuple) and tuple(span) == (0, 2, "a")
+        assert hash(span) == hash((0, 2, "a"))
+        assert repr(span) == "SlotSpan(start=0, end=2, label='a')"
+
     @pytest.mark.parametrize("start,end", [(-1, 2), (2, 2), (3, 1)])
     def test_bad_bounds(self, start, end):
-        with pytest.raises(StructuralError):
-            bio.SlotSpan(start, end, "a")
+        message = re.escape(f"bad span bounds [{start}, {end})")
+        with pytest.raises(StructuralError, match=f"^{message}$"):
+            bio.tags_from_spans([bio.SlotSpan(start, end, "a")], 5)
 
     def test_empty_label(self):
-        with pytest.raises(StructuralError):
-            bio.SlotSpan(0, 1, "")
+        with pytest.raises(StructuralError, match="^span label must be nonempty$"):
+            bio.tags_from_spans([bio.SlotSpan(0, 1, "")], 5)
 
     def test_overlaps(self):
         a = bio.SlotSpan(0, 3, "x")

@@ -582,7 +582,18 @@ class TestTrainFlags:
 
         monkeypatch.setattr(tagger, "train", record)
         assert cli.run(self.REQUIRED + ["--mlm", "raw.txt"]) == 1
-        assert sentences == [["a", "b", "c"], ["d", "e"]]
+        assert sentences == [["a", "b\u2028c"], ["d\x85e"]]
+
+    def test_mlm_tokens_split_at_spaces_and_tabs_only(self, workdir):
+        # a dataset token may hold a no-break space; its raw-text occurrences must meet it
+        (workdir / "train.txt").write_text(
+            "# id: u1\n# text: fly to new\xa0york\n# intent: flight\n"
+            "1\tfly\tO\n2\tto\tO\n3\tnew\xa0york\tB-city\n", encoding="utf-8")
+        (workdir / "raw.txt").write_text("fly  to\tnew\xa0york \n", encoding="utf-8")
+        args = ["--epochs", "1", "--embed-dim", "2", "--hidden-dim", "2", "--mlm", "raw.txt"]
+        assert cli.run(self.REQUIRED + args) == 0
+        tokens = load_model(workdir / "model.json").vocab.tokens
+        assert tokens[len(tagger.RESERVED_TOKENS):] == ("fly", "new\xa0york", "to")
 
 
 class TestAgreementCorrelate:

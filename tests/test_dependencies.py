@@ -1,9 +1,12 @@
 """numpy is the only runtime dependency: importing slukit loads nothing else,
-and the CLI commands that do not compute with numpy never load it."""
+and the CLI commands that do not compute with numpy never load it. The code
+parses as the oldest Python that pyproject.toml allows."""
 
+import ast
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 from support import package_env
 
@@ -67,3 +70,20 @@ def test_cli_commands_without_numpy_never_load_it(tmp_path):
     )
     steps = json.loads(result.stdout.splitlines()[-1])
     assert steps == [[name, 0, False] for name in ["import"] + [a[0] for a in NUMPY_FREE]]
+
+
+def test_sources_parse_as_python_3_10():
+    """pyproject.toml allows Python 3.10; every source and test file parses as 3.10.
+
+    ``ast.parse`` with ``feature_version`` rejects the syntax its grammar
+    gates by version, such as ``except*`` (3.11). It is best effort: it
+    lets some newer forms through, and it says nothing about library
+    behaviour that changed in 3.11, such as possessive regex quantifiers
+    (``*+``), which a 3.10 interpreter rejects only when the pattern is
+    compiled.
+    """
+    root = Path(__file__).resolve().parent.parent
+    paths = sorted([*(root / "src" / "slukit").rglob("*.py"), *(root / "tests").rglob("*.py")])
+    assert len(paths) > 20
+    for path in paths:
+        ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, 10))

@@ -246,18 +246,51 @@ class TestEncoder:
         assert np.allclose(states[:, 4:], math.tanh(-0.2))
 
 
+@pytest.fixture(scope="module")
+def train_batches():
+    """Every batch train hands to _loss_and_grads on a run with mlm sentences."""
+    batches = []
+    engine = tagger._loss_and_grads
+
+    def record(params, batch, config):
+        batches.append(list(batch))
+        return engine(params, batch, config)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(tagger, "_loss_and_grads", record)
+        tagger.train(overfit_corpus(), small_config(epochs=3, batch_size=4, mask_rate=0.3),
+                     mlm_sentences=plain_sentences(40))
+    examples = [ex for batch in batches for ex in batch]
+    assert any(ex.slot_ids is not None for ex in examples)
+    assert any(ex.mlm_targets for ex in examples)
+    return examples
+
+
 class TestExample:
-    def test_mlm_target_bounds(self):
-        with pytest.raises(StructuralError, match="out of range"):
-            tagger.Example(token_ids=(4,), mlm_targets=((1, 5),))
+    """train builds every Example valid; Example itself checks nothing."""
 
-    def test_duplicate_positions(self):
-        with pytest.raises(StructuralError, match="duplicate"):
-            tagger.Example(token_ids=(4, 5), mlm_targets=((0, 5), (0, 6)))
+    def test_fields_are_nonempty_int_tuples(self, train_batches):
+        for ex in train_batches:
+            assert type(ex) is tagger.Example
+            assert type(ex.token_ids) is tuple and ex.token_ids
+            assert all(type(t) is int for t in ex.token_ids)
+            assert ex.slot_ids is None or all(type(t) is int for t in ex.slot_ids)
+            assert all(type(p) is int and type(t) is int for p, t in ex.mlm_targets)
 
-    def test_slot_length(self):
-        with pytest.raises(StructuralError, match="slot_ids"):
-            tagger.Example(token_ids=(4, 5), slot_ids=(0,))
+    def test_mlm_target_bounds(self, train_batches):
+        for ex in train_batches:
+            assert all(0 <= pos < len(ex.token_ids) for pos, _ in ex.mlm_targets)
+
+    def test_duplicate_positions(self, train_batches):
+        for ex in train_batches:
+            positions = [pos for pos, _ in ex.mlm_targets]
+            assert len(set(positions)) == len(positions)
+
+    def test_slot_length(self, train_batches):
+        for ex in train_batches:
+            if ex.slot_ids is not None:
+                assert type(ex.slot_ids) is tuple
+                assert len(ex.slot_ids) == len(ex.token_ids)
 
 
 class TestJointLoss:

@@ -6,24 +6,17 @@ breaks the traced benchmark; these tests catch that in the suite.
 """
 
 import importlib
-import importlib.util
-import sys
-from pathlib import Path
 
 import pytest
 
 from slukit import cli, corpus, tagger
 
-TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+from support import load_perfbench
 
 
 @pytest.fixture
 def tracer(monkeypatch):
-    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave perfbench/ as it is
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return load_perfbench("tracer", monkeypatch)
 
 
 def test_every_wrapped_name_resolves(tracer):
