@@ -31,7 +31,7 @@ from pathlib import Path
 
 from . import __version__, corpus, homogenize, metrics, sampler
 from .config import TrainConfig
-from .errors import ToolkitError
+from .errors import ParseError, ToolkitError
 
 OUT_FLAGS = ("out", "json")  # every output flag; the manifest goes beside --out
 # --mlm tokens split at spaces and tabs only: a dataset token may hold other whitespace (U+00A0).
@@ -248,17 +248,17 @@ def _cmd_agreement(args, digests):
 def _cmd_correlate(args, digests):
     text = _read_text(args.scores, digests)
     with _naming(args.scores):
-        reader = csv.DictReader(io.StringIO(text))
+        header, rows = corpus.csv_rows(text)
         for col in (args.x, args.y):
-            if col not in (reader.fieldnames or []):
+            if col not in header:
                 raise ToolkitError(f"no column {col!r}")
         xs, ys = [], []
-        for row in reader:
+        for line, row in rows:
             try:
                 xs.append(float(row[args.x]))
                 ys.append(float(row[args.y]))
-            except (TypeError, ValueError):
-                raise ToolkitError(f"non-numeric value in row {row!r}") from None
+            except ValueError:
+                raise ParseError(f"non-numeric value in row {row!r}", line=line) from None
         r = metrics.pearson(xs, ys)
     print(f"pearson\t{r:.4f}")
     return {}, {}

@@ -18,13 +18,19 @@ exactly this shape and ``parse_dataset`` inverts it, in one regex pass
 over the text. In a parsed Dataset, equal tokens, tags and intents share
 one ``str`` object (a corpus has far fewer types than tokens), so
 callers compare them with ``==``, never ``is``.
+
+``csv_rows`` reads the CSV score tables that ``correlate`` and
+``significance`` take: every row holds exactly as many cells as the
+header.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import re
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from . import bio
 from .errors import ParseError, StructuralError
@@ -242,3 +248,27 @@ def validate(ds: Dataset) -> list[Issue]:
         for pos, kind in bio.tag_issues(utt.slot_tags):
             issues.append(Issue(utt.id, pos, kind))
     return issues
+
+
+def csv_rows(text: str) -> tuple[list[str], Iterator[tuple[int, dict[str, str]]]]:
+    """The header of CSV ``text`` and a lazy walk of its rows as (line, {column: cell}).
+
+    Blank lines are skipped. A row with more or fewer cells than the
+    header raises ``line N: expected K cells, got M``, N counting every
+    line of the file. A repeated column name maps to its last cell, as
+    in ``csv.DictReader``.
+    """
+    reader = csv.reader(io.StringIO(text))
+    header = next(reader, [])
+
+    def rows():
+        for cells in reader:
+            if not cells:
+                continue
+            if len(cells) != len(header):
+                raise ParseError(
+                    f"expected {len(header)} cells, got {len(cells)}", line=reader.line_num
+                )
+            yield reader.line_num, dict(zip(header, cells))
+
+    return header, rows()

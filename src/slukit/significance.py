@@ -13,12 +13,23 @@ no-evidence midpoint, also returned when the denominator vanishes
 (identical samples). A bootstrap lower confidence bound epsilon_min
 below DOMINANCE_THRESHOLD (0.5) declares the dominance of a over b
 significant.
+
+The bootstrap is exact and cheap per replicate. Its stream rule: for a
+seed, replicate k draws n indices into a, then m into b, exactly as one
+``Generator.integers`` call per sample would. ``aso`` draws each pass of
+replicates with one call that consumes the stream the same way: with
+per-element bounds in general, and with one scalar bound, numpy's faster
+path, when n == m. A pass holds at most BOOT_DRAWS indices, or one
+replicate when n + m is larger, so it stays small whatever n, m and
+n_boot are. One integer sort of the drawn ranks orders both parts of
+every replicate in a pass, and each pass integrates every replicate over
+one breakpoint plan, built once per size pair and cached read-only
+(``_plan``).
 """
 
 from __future__ import annotations
 
-import csv
-import io
+import functools
 import math
 import random
 from dataclasses import dataclass
@@ -26,14 +37,16 @@ from statistics import NormalDist
 
 import numpy as np
 
+from .corpus import csv_rows
 from .errors import ParseError, StructuralError
 
 DOMINANCE_THRESHOLD = 0.5
 
 SCORE_COLUMNS = ("system", "language", "metric", "seed", "value")
 
-# Bootstrap replicates scored per matrix pass; bounds memory for a large n_boot.
-BOOT_BLOCK = 256
+# Bootstrap indices drawn per matrix pass: a pass scores BOOT_DRAWS // (n + m)
+# replicates (at least one), so its arrays stay small whatever n, m and n_boot are.
+BOOT_DRAWS = 8192
 
 
 @dataclass(frozen=True)
@@ -50,30 +63,71 @@ class ScoreSample:
             raise StructuralError("sample has non-finite values")
 
 
+@functools.lru_cache(maxsize=256)
+def _plan(n: int, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The breakpoint plan of sizes n and m: segment widths, a's and b's step per segment.
+
+    Both empirical quantile functions are step functions with jumps at
+    i/n and j/m. In units of 1/(n*m) the merged breakpoints are the ends
+    i*m and j*n, and on the segment ending at e the steps are
+    a[ceil(e/m) - 1] and b[ceil(e/n) - 1]. The plan depends only on the
+    sizes, so it is built once per size pair; its arrays are read-only,
+    since every caller shares them.
+    """
+    ends = np.union1d(np.arange(1, n + 1) * m, np.arange(1, m + 1) * n)
+    plan = np.diff(ends, prepend=0) / (n * m), -(-ends // m) - 1, -(-ends // n) - 1
+    for array in plan:
+        array.flags.writeable = False
+    return plan
+
+
 def _masses(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Violation mass and total mass of each row pair of row-sorted a [r, n], b [r, m].
 
-    Both empirical quantile functions are step functions with jumps at
-    i/n and j/m, so integrating the squared difference segment by
-    segment is exact. The plan is integer: in units of 1/(n*m) the
-    merged breakpoints are the ends i*m and j*n, and on the segment
-    ending at e the steps are a[ceil(e/m) - 1] and b[ceil(e/n) - 1]. The
-    masses are summed in breakpoint order (cumsum, not the pairwise
-    ndarray.sum), so every row gets the bits of a sequential walk.
+    Integrating the squared quantile difference segment by segment over
+    ``_plan`` is exact. The masses are summed in breakpoint order
+    (``_sums_in_order``, not the pairwise ndarray.sum), so every row gets
+    the bits of a sequential walk.
     """
-    n, m = a.shape[1], b.shape[1]
-    ends = np.union1d(np.arange(1, n + 1) * m, np.arange(1, m + 1) * n)
-    width = np.diff(ends, prepend=0) / (n * m)
-    diff = b.T[-(-ends // n) - 1] - a.T[-(-ends // m) - 1]  # [segments, r]
+    width, a_step, b_step = _plan(a.shape[1], b.shape[1])
+    diff = b.T[b_step] - a.T[a_step]  # [segments, r]
     mass = width[:, None] * diff * diff
-    violation = np.cumsum(np.where(diff > 0, mass, 0.0), axis=0)[-1]
-    return violation, np.cumsum(mass, axis=0)[-1]
+    return _sums_in_order(np.where(diff > 0, mass, 0.0)), _sums_in_order(mass)
+
+
+def _sums_in_order(x: np.ndarray) -> np.ndarray:
+    """Column sums of x [S, R], each added in row order: cumsum(x, axis=0)[-1], bit for bit.
+
+    np.cumsum along axis 0 costs a few ns per element, so when there are no
+    more rows than columns the rows are added one at a time instead.
+    """
+    if len(x) > x.shape[1]:
+        return np.cumsum(x, axis=0)[-1]
+    total = x[0].copy()
+    for row in x[1:]:
+        total += row
+    return total
 
 
 def epsilon_w2(a: ScoreSample, b: ScoreSample) -> float:
     """Violation ratio of "a stochastically dominates b"; see module docstring."""
     violation, total = _masses(np.sort([a.values]), np.sort([b.values]))
     return 0.5 if total[0] == 0.0 else float(violation[0] / total[0])
+
+
+def _normal_quantile(alpha: float, languages: int = 1) -> float:
+    """InverseNormal(1 - alpha / languages): the z of the (Bonferroni-adjusted) bound.
+
+    Below about 5.6e-17, 1 - alpha rounds to 1.0, where the quantile is
+    infinite, so such an adjusted alpha is refused; the error names alpha.
+    """
+    if not 0.0 < alpha < 1.0:
+        raise StructuralError("alpha must be in (0, 1)")
+    adjusted = alpha / languages
+    if 1.0 - adjusted == 1.0:
+        per = f" ({adjusted!r} per language)" if languages > 1 else ""
+        raise StructuralError(f"alpha {alpha!r}{per} is too small: 1 - alpha rounds to 1")
+    return NormalDist().inv_cdf(1 - adjusted)
 
 
 @dataclass(frozen=True)
@@ -101,16 +155,22 @@ def aso(
 
     Dominance of a over b is declared when epsilon_min < DOMINANCE_THRESHOLD
     (0.5). The result is deterministic for a given seed: replicate k draws
-    n indices into a, then m into b. A block's single ``integers`` call
-    gives each element its own bound, and numpy fills the array in C order
-    with the scalar-bound routine, so it consumes the stream exactly as one
-    call per sample would. Samples with identical empirical distributions
-    carry no evidence either way: they return the degenerate epsilon 0.5
-    with sigma 0 and skip the bootstrap, so resampling noise cannot
-    manufacture a dominance claim.
+    n indices into a, then m into b. Replicates are scored in passes of
+    max(1, BOOT_DRAWS // (n + m)), each drawn by one ``integers`` call that
+    fills a [rows, n + m] array in C order with the scalar-bound routine,
+    so it consumes the stream exactly as one call per sample would. When
+    n == m every element has the bound n, and the call passes that one
+    scalar bound; otherwise each element gets its own. A replicate's
+    sorted resample is read from the sorted samples at its sorted drawn
+    ranks, which gives the same values as sorting the drawn values (equal
+    values differ at most in the sign of a zero, which no mass can see).
+    Samples with identical empirical distributions carry no evidence
+    either way: they return the degenerate epsilon 0.5 with sigma 0 and
+    skip the bootstrap, so resampling noise cannot manufacture a dominance
+    claim. An alpha whose 1 - alpha rounds to 1.0 (below about 5.6e-17) is
+    refused.
     """
-    if not 0.0 < alpha < 1.0:
-        raise StructuralError("alpha must be in (0, 1)")
+    z = _normal_quantile(alpha)
     if n_boot < 1:
         raise StructuralError("n_boot must be >= 1")
     av, bv = np.asarray(a.values), np.asarray(b.values)
@@ -124,16 +184,25 @@ def aso(
         raise StructuralError(f"n_boot {n_boot} is too large to hold") from None
     rng = np.random.default_rng(seed)
     n, m = av.size, bv.size
-    high = np.repeat([n, m], [n, m])  # row k: replicate k's a-indices, then its b-indices
-    for start in range(0, n_boot, BOOT_BLOCK):
-        rows = min(BOOT_BLOCK, n_boot - start)
-        draws = rng.integers(0, np.broadcast_to(high, (rows, n + m)))
-        violation, total = _masses(np.sort(av[draws[:, :n]]), np.sort(bv[draws[:, n:]]))
+    # row k: replicate k's a-indices, then its b-indices; one scalar bound when n == m
+    high = n if n == m else np.repeat([n, m], [n, m])
+    offset = np.repeat([0, n], [n, m])
+    # A sorted resample is the sorted sample read at its sorted drawn ranks, so one
+    # integer sort per pass orders both parts of a replicate (b's ranks above a's).
+    order = np.concatenate([np.argsort(av, kind="stable"), np.argsort(bv, kind="stable") + n])
+    ranks = np.argsort(order)  # the inverse permutation: index -> position in ordered
+    ordered = np.concatenate([av, bv])[order]
+    per_pass = max(1, BOOT_DRAWS // (n + m))
+    for start in range(0, n_boot, per_pass):
+        rows = min(per_pass, n_boot - start)
+        draws = rng.integers(0, high, size=(rows, n + m))
+        resample = ordered[np.sort(ranks[draws + offset])]
+        violation, total = _masses(resample[:, :n], resample[:, n:])
         boots[start:start + rows] = np.divide(
             violation, total, out=np.full(rows, 0.5), where=total != 0.0
         )
     sigma = float(np.std(boots))
-    eps_min = eps_hat - sigma * NormalDist().inv_cdf(1 - alpha)
+    eps_min = eps_hat - sigma * z
     return AsoResult(eps_hat, sigma, eps_min, alpha, eps_min < DOMINANCE_THRESHOLD)
 
 
@@ -177,8 +246,7 @@ def compare_table(
     """
     languages = baseline_languages(scores, baseline)
     systems = sorted({sys for sys, _ in scores if sys != baseline})
-    if not 0.0 < alpha < 1.0:
-        raise StructuralError("alpha must be in (0, 1)")
+    _normal_quantile(alpha, len(languages))  # refuses a bad alpha before any bootstrap
     adjusted = alpha / len(languages)
     seeder = random.Random(seed)
     results: dict[tuple[str, str], AsoResult] = {}
@@ -206,19 +274,20 @@ def parse_scores_csv(text: str) -> dict[tuple[str, str, str], ScoreSample]:
 
     Rows group by (system, language, metric); values keep file order,
     one per seed row. The seed column identifies runs and is not
-    otherwise interpreted.
+    otherwise interpreted. Rows are read by ``corpus.csv_rows``, so each
+    has exactly as many cells as the header, and errors name the line.
     """
-    reader = csv.DictReader(io.StringIO(text))
-    if reader.fieldnames is None or not set(SCORE_COLUMNS).issubset(reader.fieldnames):
+    header, rows = csv_rows(text)
+    if not set(SCORE_COLUMNS).issubset(header):
         raise ParseError(
             "score CSV needs columns " + ",".join(SCORE_COLUMNS), line=1
         )
     grouped: dict[tuple[str, str, str], list[float]] = {}
-    for lineno, row in enumerate(reader, start=2):
+    for line, row in rows:
         try:
             value = float(row["value"])
-        except (TypeError, ValueError):
-            raise ParseError(f"bad value {row.get('value')!r}", line=lineno) from None
+        except ValueError:
+            raise ParseError(f"bad value {row['value']!r}", line=line) from None
         key = (row["system"], row["language"], row["metric"])
         grouped.setdefault(key, []).append(value)
     out = {}

@@ -679,6 +679,13 @@ OUT = ["--out", "o.txt"]
     ("scores.csv", SCORES_CSV + "aux,de,f1,9,nan\n", SIGNIFICANCE,
      "system 'aux', language 'de', metric 'f1': sample has non-finite values"),
     ("scores.csv", SCORES_CSV + "aux,de,f1,9,x\n", SIGNIFICANCE, "line 12: bad value 'x'"),
+    ("scores.csv", SCORES_CSV + "aux,de,f1,9,0.5,7\n", SIGNIFICANCE,
+     "line 12: expected 5 cells, got 6"),
+    ("scores.csv", SCORES_CSV + "aux,de,f1,9\n", SIGNIFICANCE, "line 12: expected 5 cells, got 4"),
+    ("scores.csv", "a,b\n1,2\n2,3,9\n", CORRELATE, "line 3: expected 2 cells, got 3"),
+    ("scores.csv", "a,b\n1,2\n\n2\n", CORRELATE, "line 4: expected 2 cells, got 1"),
+    ("scores.csv", "a,b\n1,2\n2,x\n", CORRELATE,
+     "line 3: non-numeric value in row {'a': '2', 'b': 'x'}"),
     ("scores.csv", SCORES_CSV + "aux,de,acc,1,0.5\naux,de,acc,2,0.6\n", SIGNIFICANCE,
      "has metrics acc,f1; pick one with --metric"),
     ("table.csv", f"item,yes\ni1,{HUGE}\n", ["agreement", "--table", "table.csv"],
@@ -693,7 +700,8 @@ OUT = ["--out", "o.txt"]
         "homogenize_in", "homogenize_map", "homogenize_map_target",
         "homogenize_map_empty_target", "merge", "train",
         "predict_model", "predict_in", "agreement", "correlate", "significance_sample",
-        "significance_line", "two_metrics", "agreement_csv", "correlate_csv",
+        "significance_line", "significance_long_row", "significance_short_row",
+        "correlate_long_row", "correlate_short_row", "correlate_value", "two_metrics", "agreement_csv", "correlate_csv",
         "significance_csv", "header_only", "significance_baseline"])
 def test_table_errors_name_the_file(fuzz_inputs, capsys, name, text, argv, message):
     """A malformed file given to any input flag ends in ``error: PATH: message``.
@@ -737,6 +745,7 @@ class TestSignificance:
     @pytest.mark.parametrize("flags,message", [
         (["--alpha", "1.5"], "error: alpha must be in (0, 1)"),
         (["--boot", "100000000000000000000"], "error: n_boot 100000000000000000000 is too large"),
+        (["--alpha", "1e-16"], "error: alpha 1e-16 (5e-17 per language) is too small"),
     ])
     def test_out_of_range_values_exit_one(self, workdir, capsys, flags, message):
         two_languages = SCORES_CSV + SCORES_CSV.split("\n", 1)[1].replace(",de,", ",it,")

@@ -418,3 +418,24 @@ class TestValidate:
             ("u0", 1, bio.IssueKind.ORPHAN_I),
             ("u1", 1, bio.IssueKind.LABEL_SWITCH),
         ]
+
+
+class TestCsvRows:
+    def test_rows_as_dicts_with_their_file_lines(self):
+        header, rows = corpus.csv_rows('a,b\n1,2\n\n"x\ny",3\n')
+        assert header == ["a", "b"]
+        assert list(rows) == [(2, {"a": "1", "b": "2"}), (5, {"a": "x\ny", "b": "3"})]
+
+    def test_repeated_column_reads_its_last_cell(self):
+        header, rows = corpus.csv_rows("a,a\n1,2\n")
+        assert list(rows) == [(2, {"a": "2"})]
+
+    def test_empty_text_has_no_header(self):
+        header, rows = corpus.csv_rows("")
+        assert header == [] and list(rows) == []
+
+    @pytest.mark.parametrize("row,got", [("1,2,3", 3), ("1", 1), (",,", 3)])
+    def test_other_cell_count_names_line(self, row, got):
+        header, rows = corpus.csv_rows(f"a,b\n1,2\n{row}\n4,5\n")
+        with pytest.raises(ParseError, match=f"^line 3: expected 2 cells, got {got}$"):
+            list(rows)

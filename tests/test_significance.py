@@ -3,6 +3,8 @@
 import json
 import math
 import random
+import re
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -22,6 +24,10 @@ finite_floats = st.floats(
 
 def _sample(values):
     return significance.ScoreSample(tuple(values))
+
+
+def _never_called(*args, **kwargs):
+    raise AssertionError("called")
 
 
 CSV_TEXT = (
@@ -154,6 +160,21 @@ class TestInverseNormalCdf:
         with pytest.raises(StructuralError, match="alpha must be in \\(0, 1\\)"):
             significance.aso(_sample(self.A), _sample(self.B), alpha=p)
 
+    @pytest.mark.parametrize("alpha", [2.0 ** -54, 5e-17, 1e-17, 5e-324])
+    def test_alpha_whose_complement_rounds_to_one_refused_before_bootstrap(
+        self, monkeypatch, alpha
+    ):
+        monkeypatch.setattr(significance, "_masses", _never_called)
+        message = f"alpha {alpha!r} is too small: 1 - alpha rounds to 1"
+        with pytest.raises(StructuralError, match=re.escape(message)):
+            significance.aso(_sample(self.A), _sample(self.B), alpha=alpha)
+
+    def test_smallest_alpha_accepted(self):
+        alpha = math.nextafter(2.0 ** -54, 1.0)
+        assert 1.0 - alpha < 1.0
+        z = NormalDist().inv_cdf(1 - alpha)
+        assert self._z(alpha) == pytest.approx(z, rel=1e-12)
+
 
 class TestAso:
     def test_separated_samples_dominate(self):
@@ -210,22 +231,55 @@ class TestAso:
 
 
 class TestBlockDraw:
-    """The property ``aso`` relies on: one call with per-element bounds keeps the stream."""
+    """The properties ``aso`` relies on: one ``integers`` call per pass keeps the stream."""
 
     def test_broadcast_bounds_equal_per_replicate_calls(self):
         rng = random.Random(58)
-        block = significance.BOOT_BLOCK
         for _ in range(200):
             n, m = rng.randint(2, 40), rng.randint(2, 40)
-            rows = rng.choice((1, block - 1, block, block + 1, 600))
+            per_pass = significance.BOOT_DRAWS // (n + m)
+            rows = rng.choice((1, per_pass - 1, per_pass, per_pass + 1, 600))
             seed = rng.randrange(2 ** 32)
             batched, scalar = np.random.default_rng(seed), np.random.default_rng(seed)
             high = np.repeat([n, m], [n, m])
-            draws = batched.integers(0, np.broadcast_to(high, (rows, n + m)))
+            draws = batched.integers(0, high, size=(rows, n + m))
             for k in range(rows):
                 assert draws[k, :n].tolist() == scalar.integers(0, n, n).tolist()
                 assert draws[k, n:].tolist() == scalar.integers(0, m, m).tolist()
             assert batched.integers(0, 2 ** 62) == scalar.integers(0, 2 ** 62)
+
+    def test_scalar_bound_equals_broadcast_bound_for_equal_sizes(self):
+        for n in range(2, 41):
+            for seed in range(5):
+                rows = significance.BOOT_DRAWS // (2 * n) + 1
+                broadcast, scalar = np.random.default_rng(seed), np.random.default_rng(seed)
+                wide = broadcast.integers(0, np.broadcast_to(np.full(2 * n, n), (rows, 2 * n)))
+                assert np.array_equal(scalar.integers(0, n, size=(rows, 2 * n)), wide)
+                assert broadcast.integers(0, 2 ** 62) == scalar.integers(0, 2 ** 62)
+
+
+class TestPlan:
+    def test_cached_per_size_pair_and_read_only(self):
+        plan = significance._plan(5, 7)
+        assert significance._plan(5, 7) is plan
+        for array in plan:
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
+        assert significance._plan(7, 5) is not plan
+
+    def test_segments(self):
+        width, a_step, b_step = significance._plan(2, 3)  # ends 2, 3, 4, 6 in units of 1/6
+        assert width.tolist() == [2 / 6, 1 / 6, 1 / 6, 2 / 6]
+        assert a_step.tolist() == [0, 0, 1, 1]
+        assert b_step.tolist() == [0, 1, 1, 2]
+
+
+class TestSumsInOrder:
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 7), (5, 819), (9, 9), (40, 3), (300, 2), (12, 1)])
+    def test_equals_the_last_cumsum_row(self, shape):
+        rng = np.random.default_rng(61)  # mixed magnitudes, so the order of the adds shows
+        x = rng.normal(size=shape) * rng.choice([1e-8, 1.0, 1e8], size=shape)
+        assert np.array_equal(significance._sums_in_order(x), np.cumsum(x, axis=0)[-1])
 
 
 class TestAsoOracle:
@@ -238,17 +292,26 @@ class TestAsoOracle:
         ),
         "lcm 12 vs max 6": ([1.5, 0.2, 0.9, 1.1, 0.4, 0.7], [0.8, 0.1, 1.2, 0.6]),
         "ties": ([1.0, 2.0, 2.0, 1.0, 3.0, 2.0], [2.0, 1.0, 1.0, 2.0, 2.0]),
+        "equal 6 vs 6": ([0.4, 0.9, 0.1, 0.7, 0.3, 0.6], [0.5, 0.2, 0.8, 0.35, 0.3, 0.65]),
+        "signed zeros": ([0.0, -0.0, 1.0, -0.0, 2.0], [-0.0, 0.0, 0.5, -0.0]),
     }
 
     @pytest.mark.parametrize("name", CASES)
-    @pytest.mark.parametrize(
-        "n_boot", [1, significance.BOOT_BLOCK, significance.BOOT_BLOCK + 1]
-    )
+    @pytest.mark.parametrize("n_boot", [1, 256, 257])
     def test_aso_equals_walk(self, name, n_boot):
         a, b = self.CASES[name]
         result = significance.aso(_sample(a), _sample(b), alpha=0.02, n_boot=n_boot, seed=17)
         assert result == walk_aso(a, b, alpha=0.02, n_boot=n_boot, seed=17)
         assert significance.epsilon_w2(_sample(a), _sample(b)) == walk_epsilon(a, b)
+
+    @pytest.mark.parametrize("name", CASES)
+    @pytest.mark.parametrize("past", [0, 1], ids=["one_pass", "one_past"])
+    def test_aso_equals_walk_at_a_pass_boundary(self, name, past):
+        """Exactly one full pass, and one replicate into a second pass."""
+        a, b = self.CASES[name]
+        n_boot = significance.BOOT_DRAWS // (len(a) + len(b)) + past
+        result = significance.aso(_sample(a), _sample(b), alpha=0.02, n_boot=n_boot, seed=17)
+        assert result == walk_aso(a, b, alpha=0.02, n_boot=n_boot, seed=17)
 
     def test_random_cases_equal_walk(self):
         rng = random.Random(57)
@@ -264,7 +327,7 @@ class TestAsoOracle:
         rng = random.Random(59)
         a = [round(rng.gauss(0, 1), 3) for _ in range(20)]
         b = [round(rng.gauss(0.1, 1), 3) for _ in range(37)]
-        n_boot = significance.BOOT_BLOCK + 1
+        n_boot = significance.BOOT_DRAWS // (20 + 37) + 1  # one replicate into a second pass
         result = significance.aso(_sample(a), _sample(b), n_boot=n_boot, seed=21)
         assert result == walk_aso(a, b, n_boot=n_boot, seed=21)
 
@@ -331,6 +394,44 @@ class TestCompareTable:
         with pytest.raises(StructuralError, match="no scores"):
             significance.compare_table({}, "base")
 
+    # the baseline's size per language; the systems' cells are 5/5, 10/20, 20/10 and
+    # 5/10, and "same" in "e" is degenerate (the baseline's values, each twice)
+    ORACLE_SIZES = {"a": 5, "b": 20, "c": 10, "d": 10, "e": 4}
+
+    def _oracle_scores(self):
+        rng = random.Random(60)
+        draw = lambda k, mu: [round(rng.gauss(mu, 0.05), 3) for _ in range(k)]
+        scores = {("base", lang): _sample(draw(k, 0.5)) for lang, k in self.ORACLE_SIZES.items()}
+        for lang, k in (("a", 5), ("b", 10), ("c", 20), ("d", 5)):
+            scores[("sys", lang)] = _sample(draw(k, 0.52))
+        scores[("same", "a")] = _sample(draw(5, 0.5))
+        scores[("same", "e")] = _sample(scores[("base", "e")].values * 2)
+        return scores
+
+    # 273 and 274: one pass and just past it for the 30-index cells; 820 for the 5/5 ones
+    @pytest.mark.parametrize("n_boot", [1, 273, 274, 820])
+    def test_every_cell_equals_walk(self, n_boot):
+        """Each cell is the oracle's result for the seed the table's seeder draws for it."""
+        scores = self._oracle_scores()
+        table = significance.compare_table(scores, "base", alpha=0.1, n_boot=n_boot, seed=31)
+        seeder = random.Random(31)
+        expected = {}
+        for system in ("same", "sys"):
+            for lang in sorted(self.ORACLE_SIZES):
+                if (system, lang) in scores:
+                    expected[(system, lang)] = walk_aso(
+                        scores[(system, lang)].values, scores[("base", lang)].values,
+                        alpha=0.1 / 5, n_boot=n_boot, seed=seeder.randrange(2 ** 32),
+                    )
+        assert table.results == expected
+        assert table.results[("same", "e")] == significance.AsoResult(0.5, 0.0, 0.5, 0.02, False)
+
+    def test_alpha_too_small_per_language_refused_before_bootstrap(self, monkeypatch):
+        monkeypatch.setattr(significance, "aso", _never_called)
+        message = "alpha 1e-16 (3.3333333333333335e-17 per language) is too small"
+        with pytest.raises(StructuralError, match=re.escape(message)):
+            significance.compare_table(self._scores(), "base", alpha=1e-16)
+
     @pytest.mark.parametrize("alpha", [1.5, 1.0])
     def test_alpha_out_of_range(self, alpha):
         with pytest.raises(StructuralError, match=r"alpha must be in \(0, 1\)"):
@@ -353,6 +454,19 @@ class TestScoresCsv:
     def test_bad_value_names_line(self):
         bad = CSV_TEXT.replace("base,de,f1,2,0.52", "base,de,f1,2,oops")
         with pytest.raises(ParseError, match="line 3.*'oops'"):
+            significance.parse_scores_csv(bad)
+
+    @pytest.mark.parametrize("row,got", [("aux,de,f1,4,0.4,0.5", 6), ("aux,de,f1,4", 4), (" ", 1)])
+    def test_row_with_another_cell_count_names_line(self, row, got):
+        with pytest.raises(ParseError, match=f"^line 15: expected 5 cells, got {got}$"):
+            significance.parse_scores_csv(CSV_TEXT + "\n" + row + "\n")
+
+    def test_blank_lines_skipped_and_counted(self):
+        assert significance.parse_scores_csv(CSV_TEXT.replace("\n", "\n\n")) == (
+            significance.parse_scores_csv(CSV_TEXT)
+        )
+        bad = CSV_TEXT.replace("\n", "\n\n").replace("aux,it,f1,3,0.45", "aux,it,f1,3,?")
+        with pytest.raises(ParseError, match="line 25: bad value '\\?'"):
             significance.parse_scores_csv(bad)
 
     def test_short_group_names_cell(self):
