@@ -254,21 +254,22 @@ def csv_rows(text: str) -> tuple[list[str], Iterator[tuple[int, dict[str, str]]]
     """The header of CSV ``text`` and a lazy walk of its rows as (line, {column: cell}).
 
     Blank lines are skipped. A row with more or fewer cells than the
-    header raises ``line N: expected K cells, got M``, N counting every
-    line of the file. A repeated column name maps to its last cell, as
-    in ``csv.DictReader``.
+    header raises ``line N: expected K cells, got M``. A row's line is
+    the one its record starts on (a quoted cell may span lines), counting
+    every line of the file. A repeated column name maps to its last cell,
+    as in ``csv.DictReader``.
     """
     reader = csv.reader(io.StringIO(text))
     header = next(reader, [])
 
     def rows():
+        start = reader.line_num + 1  # the first line of the next record
         for cells in reader:
+            line, start = start, reader.line_num + 1
             if not cells:
                 continue
             if len(cells) != len(header):
-                raise ParseError(
-                    f"expected {len(header)} cells, got {len(cells)}", line=reader.line_num
-                )
-            yield reader.line_num, dict(zip(header, cells))
+                raise ParseError(f"expected {len(header)} cells, got {len(cells)}", line=line)
+            yield line, dict(zip(header, cells))
 
     return header, rows()

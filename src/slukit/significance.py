@@ -24,7 +24,7 @@ replicate when n + m is larger, so it stays small whatever n, m and
 n_boot are. One integer sort of the drawn ranks orders both parts of
 every replicate in a pass, and each pass integrates every replicate over
 one breakpoint plan, built once per size pair and cached read-only
-(``_plan``).
+(``_plan``), with one reduction that adds the masses in breakpoint order.
 """
 
 from __future__ import annotations
@@ -85,28 +85,18 @@ def _masses(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Violation mass and total mass of each row pair of row-sorted a [r, n], b [r, m].
 
     Integrating the squared quantile difference segment by segment over
-    ``_plan`` is exact. The masses are summed in breakpoint order
-    (``_sums_in_order``, not the pairwise ndarray.sum), so every row gets
-    the bits of a sequential walk.
+    ``_plan`` is exact. The masses are summed in breakpoint order, so every
+    row gets the bits of a sequential walk: np.add.reduce over axis 0 of a
+    C-contiguous array adds its rows one at a time, and numpy's pairwise
+    summation, which would change the order, applies only when the reduced
+    axis is the contiguous one. Stacking the two masses gives every row at
+    least two cells, so that never happens, even when r is 1.
     """
     width, a_step, b_step = _plan(a.shape[1], b.shape[1])
     diff = b.T[b_step] - a.T[a_step]  # [segments, r]
     mass = width[:, None] * diff * diff
-    return _sums_in_order(np.where(diff > 0, mass, 0.0)), _sums_in_order(mass)
-
-
-def _sums_in_order(x: np.ndarray) -> np.ndarray:
-    """Column sums of x [S, R], each added in row order: cumsum(x, axis=0)[-1], bit for bit.
-
-    np.cumsum along axis 0 costs a few ns per element, so when there are no
-    more rows than columns the rows are added one at a time instead.
-    """
-    if len(x) > x.shape[1]:
-        return np.cumsum(x, axis=0)[-1]
-    total = x[0].copy()
-    for row in x[1:]:
-        total += row
-    return total
+    violation, total = np.add.reduce(np.stack([np.where(diff > 0, mass, 0.0), mass], 1), axis=0)
+    return violation, total
 
 
 def epsilon_w2(a: ScoreSample, b: ScoreSample) -> float:

@@ -424,7 +424,7 @@ class TestCsvRows:
     def test_rows_as_dicts_with_their_file_lines(self):
         header, rows = corpus.csv_rows('a,b\n1,2\n\n"x\ny",3\n')
         assert header == ["a", "b"]
-        assert list(rows) == [(2, {"a": "1", "b": "2"}), (5, {"a": "x\ny", "b": "3"})]
+        assert list(rows) == [(2, {"a": "1", "b": "2"}), (4, {"a": "x\ny", "b": "3"})]
 
     def test_repeated_column_reads_its_last_cell(self):
         header, rows = corpus.csv_rows("a,a\n1,2\n")
@@ -438,4 +438,9 @@ class TestCsvRows:
     def test_other_cell_count_names_line(self, row, got):
         header, rows = corpus.csv_rows(f"a,b\n1,2\n{row}\n4,5\n")
         with pytest.raises(ParseError, match=f"^line 3: expected 2 cells, got {got}$"):
+            list(rows)
+
+    def test_bad_record_names_the_line_it_starts_on(self):
+        header, rows = corpus.csv_rows('a,b\n"x\ny\nz",2,3\n')
+        with pytest.raises(ParseError, match="^line 2: expected 2 cells, got 3$"):
             list(rows)

@@ -274,12 +274,22 @@ class TestPlan:
         assert b_step.tolist() == [0, 1, 1, 2]
 
 
-class TestSumsInOrder:
-    @pytest.mark.parametrize("shape", [(1, 1), (1, 7), (5, 819), (9, 9), (40, 3), (300, 2), (12, 1)])
-    def test_equals_the_last_cumsum_row(self, shape):
+class TestMasses:
+    @pytest.mark.parametrize("r,n,m", [
+        (1, 2, 2), (1, 12, 9), (1, 40, 33), (2, 5, 7), (3, 300, 2), (40, 100, 100),
+        (136, 30, 30), (819, 5, 5),
+    ])
+    def test_sums_in_breakpoint_order(self, r, n, m):
+        """Bit for bit the last cumsum row: each row's masses added one segment at a time."""
         rng = np.random.default_rng(61)  # mixed magnitudes, so the order of the adds shows
-        x = rng.normal(size=shape) * rng.choice([1e-8, 1.0, 1e8], size=shape)
-        assert np.array_equal(significance._sums_in_order(x), np.cumsum(x, axis=0)[-1])
+        a, b = (np.sort(rng.normal(size=(r, k)) * rng.choice([1e-4, 1.0, 1e4], size=(r, k)))
+                for k in (n, m))
+        width, a_step, b_step = significance._plan(n, m)
+        diff = b.T[b_step] - a.T[a_step]
+        mass = width[:, None] * diff * diff
+        violation, total = significance._masses(a, b)
+        assert np.array_equal(violation, np.cumsum(np.where(diff > 0, mass, 0.0), axis=0)[-1])
+        assert np.array_equal(total, np.cumsum(mass, axis=0)[-1])
 
 
 class TestAsoOracle:
