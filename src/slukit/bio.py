@@ -95,10 +95,6 @@ def tag_issues(tags) -> list[tuple[int, IssueKind]]:
     return issues
 
 
-def is_valid(tags) -> bool:
-    return not tag_issues(tags)
-
-
 def repair(tags) -> list[str]:
     """Rewrite a lexically well-formed sequence into valid BIO.
 

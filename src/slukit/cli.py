@@ -21,7 +21,6 @@ import argparse
 import csv
 import dataclasses
 import hashlib
-import io
 import json
 import os
 import re
@@ -231,15 +230,17 @@ def _cmd_predict(args, digests):
 def _cmd_agreement(args, digests):
     text = _read_text(args.table, digests)
     with _naming(args.table):
-        rows = list(csv.reader(io.StringIO(text)))
-        if len(rows) < 2 or len(rows[0]) < 2:
+        header, rows = corpus.csv_rows(text)
+        rows = list(rows)
+        if len(header) < 2 or not rows:
             raise ToolkitError("need a header row and at least one item row")
+        item, *categories = header
         counts = []
-        for row in rows[1:]:
+        for line, row in rows:
             try:
-                counts.append(tuple(int(c) for c in row[1:]))
+                counts.append(tuple(int(row[c]) for c in categories))
             except ValueError:
-                raise ToolkitError(f"non-integer count in row {row[0]!r}") from None
+                raise ParseError(f"non-integer count in row {row[item]!r}", line=line) from None
         kappa = metrics.fleiss_kappa(metrics.AgreementTable(tuple(counts), sum(counts[0])))
     print(f"fleiss_kappa\t{kappa:.4f}")
     return {}, {}

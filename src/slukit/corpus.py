@@ -19,9 +19,9 @@ over the text. In a parsed Dataset, equal tokens, tags and intents share
 one ``str`` object (a corpus has far fewer types than tokens), so
 callers compare them with ``==``, never ``is``.
 
-``csv_rows`` reads the CSV score tables that ``correlate`` and
-``significance`` take: every row holds exactly as many cells as the
-header.
+``csv_rows`` reads the CSV tables that ``agreement``, ``correlate`` and
+``significance`` take: no column name repeats, and every row holds
+exactly as many cells as the header.
 """
 
 from __future__ import annotations
@@ -253,14 +253,18 @@ def validate(ds: Dataset) -> list[Issue]:
 def csv_rows(text: str) -> tuple[list[str], Iterator[tuple[int, dict[str, str]]]]:
     """The header of CSV ``text`` and a lazy walk of its rows as (line, {column: cell}).
 
-    Blank lines are skipped. A row with more or fewer cells than the
-    header raises ``line N: expected K cells, got M``. A row's line is
-    the one its record starts on (a quoted cell may span lines), counting
-    every line of the file. A repeated column name maps to its last cell,
-    as in ``csv.DictReader``.
+    A repeated column name raises ``line 1: column 'a' repeated``, since
+    a row's dict could hold only one of its cells. Blank lines are
+    skipped. A row with more or fewer cells than the header raises
+    ``line N: expected K cells, got M``. A row's line is the one its
+    record starts on (a quoted cell may span lines), counting every line
+    of the file.
     """
     reader = csv.reader(io.StringIO(text))
     header = next(reader, [])
+    for k, name in enumerate(header):
+        if name in header[:k]:
+            raise ParseError(f"column {name!r} repeated", line=1)
 
     def rows():
         start = reader.line_num + 1  # the first line of the next record

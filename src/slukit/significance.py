@@ -99,12 +99,6 @@ def _masses(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return violation, total
 
 
-def epsilon_w2(a: ScoreSample, b: ScoreSample) -> float:
-    """Violation ratio of "a stochastically dominates b"; see module docstring."""
-    violation, total = _masses(np.sort([a.values]), np.sort([b.values]))
-    return 0.5 if total[0] == 0.0 else float(violation[0] / total[0])
-
-
 def _normal_quantile(alpha: float, languages: int = 1) -> float:
     """InverseNormal(1 - alpha / languages): the z of the (Bonferroni-adjusted) bound.
 

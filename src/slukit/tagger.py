@@ -33,7 +33,9 @@ import base64
 import json
 import math
 import random
+from collections import Counter
 from dataclasses import asdict, dataclass, fields
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -128,33 +130,23 @@ class Vocab:
         return [self.token_id(t) for t in tokens]
 
 
-def build_vocab(datasets, min_count: int = 1, extra_sentences=()) -> Vocab:
-    """Count tokens across datasets and keep those seen >= min_count times.
+def build_vocab(data: Dataset, min_count: int = 1, extra_sentences=()) -> Vocab:
+    """Count the tokens of one dataset and keep those seen >= min_count times.
 
     extra_sentences (token lists from a raw-text corpus) contribute to the
     token counts only. Tag and intent inventories cover every label in the
-    datasets, with both B- and I- forms per slot label so the slot head
+    dataset, with both B- and I- forms per slot label so the slot head
     can emit full spans.
     """
     if min_count < 1:
         raise StructuralError("min_count must be >= 1")
-    counts: dict[str, int] = {}
-    labels: set[str] = set()
-    intents: set[str] = set()
-    for ds in datasets:
-        labels |= ds.label_inventory
-        intents |= ds.intent_inventory
-        for utt in ds:
-            for tok in utt.tokens:
-                counts[tok] = counts.get(tok, 0) + 1
-    for sent in extra_sentences:
-        for tok in sent:
-            counts[tok] = counts.get(tok, 0) + 1
+    counts = Counter(chain.from_iterable(utt.tokens for utt in data))
+    counts.update(chain.from_iterable(extra_sentences))
     kept = sorted(
         t for t, c in counts.items() if c >= min_count and t not in RESERVED_TOKENS
     )
-    tags = ("O",) + tuple(sorted(f"{p}-{lab}" for lab in labels for p in "BI"))
-    return Vocab(RESERVED_TOKENS + tuple(kept), tags, tuple(sorted(intents)))
+    tags = ("O",) + tuple(sorted(f"{p}-{lab}" for lab in data.label_inventory for p in "BI"))
+    return Vocab(RESERVED_TOKENS + tuple(kept), tags, tuple(sorted(data.intent_inventory)))
 
 
 # Parameter tensors, by name (d = embed_dim, h = hidden_dim, V = vocab size,
@@ -489,7 +481,7 @@ def train(
     sentences = [tuple(s) for s in (mlm_sentences or []) if len(s) > 0]
     sentences = sentences[: config.max_mlm_sentences]
 
-    vocab = build_vocab([data], min_count=config.min_count, extra_sentences=sentences)
+    vocab = build_vocab(data, min_count=config.min_count, extra_sentences=sentences)
     master = random.Random(config.seed)
     params = init_params(config, vocab, rng=np.random.default_rng(master.randrange(2 ** 32)))
 

@@ -127,7 +127,7 @@ def test_projection_worked_examples_and_fuzz():
         )
         out = projection.project_labels(tags, rec)
         assert len(out) == n_tgt
-        assert bio.is_valid(out)
+        assert not bio.tag_issues(out)
         # argmax is scale-invariant, so projection must be too
         if k % 100 == 0:
             for c in (7.3, 0.002):
@@ -246,17 +246,20 @@ def test_aso_examples_identities_oracle_and_speed():
     def sample(values):
         return significance.ScoreSample(tuple(values))
 
-    assert significance.epsilon_w2(sample([2, 3]), sample([0, 1])) == 0.0
-    assert significance.epsilon_w2(sample([0, 1]), sample([2, 3])) == 1.0
-    assert significance.epsilon_w2(sample([0, 3]), sample([1, 2])) == 0.5
+    def epsilon(a, b):  # the violation ratio, as aso computes it before any bootstrap
+        return significance.aso(a, b, n_boot=1).epsilon_hat
+
+    assert epsilon(sample([2, 3]), sample([0, 1])) == 0.0
+    assert epsilon(sample([0, 1]), sample([2, 3])) == 1.0
+    assert epsilon(sample([0, 3]), sample([1, 2])) == 0.5
 
     rng = random.Random(5000)
     for _ in range(100):
         n, m = rng.randint(2, 12), rng.randint(2, 12)
         a = [rng.gauss(0.0, 1.0) for _ in range(n)]
         b = [rng.gauss(0.2, 1.0) for _ in range(m)]
-        eps_ab = significance.epsilon_w2(sample(a), sample(b))
-        eps_ba = significance.epsilon_w2(sample(b), sample(a))
+        eps_ab = epsilon(sample(a), sample(b))
+        eps_ba = epsilon(sample(b), sample(a))
         assert abs(eps_ab + eps_ba - 1.0) < 1e-12
 
     # grid sizes divide 1e6, so the midpoint sum is exact up to float error
@@ -264,7 +267,7 @@ def test_aso_examples_identities_oracle_and_speed():
     for n, m in ((10, 8), (20, 25), (5, 4)):
         a = grid_rng.normal(0.0, 1.0, n).tolist()
         b = grid_rng.normal(0.3, 1.2, m).tolist()
-        exact = significance.epsilon_w2(sample(a), sample(b))
+        exact = epsilon(sample(a), sample(b))
         assert abs(exact - grid_epsilon(a, b, points=1_000_000)) < 1e-6
 
     base = [rng.gauss(0.0, 1.0) for _ in range(20)]

@@ -82,7 +82,7 @@ class TestSlotSpan:
 class TestIssues:
     def test_valid_sequences_have_none(self):
         assert bio.tag_issues(["O", "B-a", "I-a", "B-b"]) == []
-        assert bio.is_valid(["B-a", "I-a"])
+        assert not bio.tag_issues(["B-a", "I-a"])
 
     def test_orphan_at_start(self):
         assert bio.tag_issues(["I-a"]) == [(0, bio.IssueKind.ORPHAN_I)]
@@ -120,7 +120,7 @@ class TestRepair:
 
     @pytest.mark.parametrize("tags,expected", REPAIR_CASES)
     def test_table_outputs_are_valid_fixed_points(self, tags, expected):
-        assert bio.is_valid(expected)
+        assert not bio.tag_issues(expected)
         assert bio.repair(expected) == expected
 
     def test_fuzz_valid_idempotent_lengths(self):
@@ -129,7 +129,7 @@ class TestRepair:
             tags = random_messy_tags(rng, rng.randint(0, 12))
             fixed = bio.repair(tags)
             assert len(fixed) == len(tags)
-            assert bio.is_valid(fixed)
+            assert not bio.tag_issues(fixed)
             assert bio.repair(fixed) == fixed
 
     def test_fuzz_valid_input_unchanged(self):
@@ -147,7 +147,7 @@ class TestRepair:
     @settings(max_examples=300, deadline=None)
     def test_property_repair_is_valid_idempotent_o_preserving(self, tags):
         fixed = bio.repair(tags)
-        assert bio.is_valid(fixed)
+        assert not bio.tag_issues(fixed)
         assert bio.repair(fixed) == fixed
         # repair never creates or destroys labelled positions
         assert [t == "O" for t in fixed] == [t == "O" for t in tags]

@@ -608,6 +608,14 @@ class TestAgreementCorrelate:
         assert cli.run(["agreement", "--table", "table.csv"]) == 0
         assert capsys.readouterr().out == "fleiss_kappa\t0.3333\n"
 
+    def test_agreement_skips_blank_lines(self, workdir, capsys):
+        kappas = []
+        for text in ("item,yes,no\ni1,3,0\ni2,2,1\n", "item,yes,no\ni1,3,0\n\ni2,2,1\n\n"):
+            (workdir / "table.csv").write_text(text)
+            assert cli.run(["agreement", "--table", "table.csv"]) == 0
+            kappas.append(capsys.readouterr().out)
+        assert kappas == ["fleiss_kappa\t-0.2000\n"] * 2
+
     def test_agreement_bad_count(self, workdir, capsys):
         (workdir / "table.csv").write_text("item,yes,no\ni1,x,3\n")
         assert cli.run(["agreement", "--table", "table.csv"]) == 1
@@ -642,6 +650,7 @@ class TestAgreementCorrelate:
 
 SIGNIFICANCE = ["significance", "--scores", "scores.csv", "--baseline", "base", "--seed", "0"]
 CORRELATE = ["correlate", "--scores", "scores.csv", "--x", "a", "--y", "b"]
+AGREEMENT = ["agreement", "--table", "table.csv"]
 HUGE = "1" * 200_000  # a field longer than the csv module's limit
 BAD_DATA = CLEAN.replace("3\tat\tB-datetime\n", "3\tat\n")
 BAD_ROW = "line 6: expected 3 tab-separated columns, got 2"
@@ -673,8 +682,12 @@ OUT = ["--out", "o.txt"]
      "unsupported checkpoint version 1 (this slukit reads 3; retrain)"),
     ("bad.txt", BAD_DATA, ["predict", "--model", "model.json", "--in", "bad.txt", *OUT],
      BAD_ROW),
-    ("table.csv", "item,yes,no\ni1,3,0\ni2,3\n", ["agreement", "--table", "table.csv"],
-     "item 1: ragged row"),
+    ("table.csv", "item,yes,no\ni1,3,0\ni2,3\n", AGREEMENT, "line 3: expected 3 cells, got 2"),
+    ("table.csv", "item,yes,no\ni1,3,0\n\ni2,2,1,0\n", AGREEMENT,
+     "line 4: expected 3 cells, got 4"),
+    ("table.csv", "item,yes,no\ni1,3,0\ni2,2.5,0.5\n", AGREEMENT,
+     "line 3: non-integer count in row 'i2'"),
+    ("table.csv", "item,yes,yes\ni1,3,0\n", AGREEMENT, "line 1: column 'yes' repeated"),
     ("scores.csv", "a,b\n1,2\nnan,3\n", CORRELATE, "correlation needs finite values"),
     ("scores.csv", SCORES_CSV + "aux,de,f1,9,nan\n", SIGNIFICANCE,
      "system 'aux', language 'de', metric 'f1': sample has non-finite values"),
@@ -688,8 +701,7 @@ OUT = ["--out", "o.txt"]
      "line 3: non-numeric value in row {'a': '2', 'b': 'x'}"),
     ("scores.csv", SCORES_CSV + "aux,de,acc,1,0.5\naux,de,acc,2,0.6\n", SIGNIFICANCE,
      "has metrics acc,f1; pick one with --metric"),
-    ("table.csv", f"item,yes\ni1,{HUGE}\n", ["agreement", "--table", "table.csv"],
-     "field larger than field limit (131072)"),
+    ("table.csv", f"item,yes\ni1,{HUGE}\n", AGREEMENT, "field larger than field limit (131072)"),
     ("scores.csv", f"a,b\n1,{HUGE}\n", CORRELATE, "field larger than field limit (131072)"),
     ("scores.csv", f"{SCORES_CSV}aux,de,f1,9,{HUGE}\n", SIGNIFICANCE,
      "field larger than field limit (131072)"),
@@ -699,7 +711,8 @@ OUT = ["--out", "o.txt"]
 ], ids=["validate", "evaluate_gold", "evaluate_pred", "project_src", "project_align",
         "homogenize_in", "homogenize_map", "homogenize_map_target",
         "homogenize_map_empty_target", "merge", "train",
-        "predict_model", "predict_in", "agreement", "correlate", "significance_sample",
+        "predict_model", "predict_in", "agreement", "agreement_long_row", "agreement_count",
+        "agreement_repeated_column", "correlate", "significance_sample",
         "significance_line", "significance_long_row", "significance_short_row",
         "correlate_long_row", "correlate_short_row", "correlate_value", "two_metrics", "agreement_csv", "correlate_csv",
         "significance_csv", "header_only", "significance_baseline"])

@@ -426,9 +426,11 @@ class TestCsvRows:
         assert header == ["a", "b"]
         assert list(rows) == [(2, {"a": "1", "b": "2"}), (4, {"a": "x\ny", "b": "3"})]
 
-    def test_repeated_column_reads_its_last_cell(self):
-        header, rows = corpus.csv_rows("a,a\n1,2\n")
-        assert list(rows) == [(2, {"a": "2"})]
+    def test_repeated_column_refused(self):
+        """A row's dict would keep one cell of a repeated column and drop the others."""
+        for header, first in (("a,a", "a"), ("a,b,b,a", "b"), ("a,,", "")):
+            with pytest.raises(ParseError, match=f"^line 1: column '{first}' repeated$"):
+                corpus.csv_rows(f"{header}\n1,2\n")
 
     def test_empty_text_has_no_header(self):
         header, rows = corpus.csv_rows("")

@@ -139,7 +139,7 @@ class TestProjectLabels:
             rec = _record(_random_scores(rng, n_src, n_tgt))
             out = projection.project_labels(tags, rec)
             assert len(out) == n_tgt
-            assert bio.is_valid(out)
+            assert not bio.tag_issues(out)
 
     def test_matches_loop_reference(self):
         # scores drawn from a few values, so most rows hold tied maxima
@@ -263,7 +263,7 @@ class TestProjectDataset:
             assert utt.tokens == rec.tgt_tokens
             assert utt.text == " ".join(rec.tgt_tokens)
             assert utt.intent == src_utt.intent
-            assert bio.is_valid(utt.slot_tags)
+            assert not bio.tag_issues(utt.slot_tags)
         assert corpus.validate(out) == []
 
     def test_missing_record(self):

@@ -26,6 +26,11 @@ def _sample(values):
     return significance.ScoreSample(tuple(values))
 
 
+def _epsilon(a, b):
+    """The violation ratio of a over b, as ``aso`` computes it before any bootstrap."""
+    return significance.aso(a, b, n_boot=1).epsilon_hat
+
+
 def _never_called(*args, **kwargs):
     raise AssertionError("called")
 
@@ -62,27 +67,27 @@ class TestScoreSample:
 
 class TestEpsilon:
     def test_clear_dominance(self):
-        assert significance.epsilon_w2(_sample([2, 3]), _sample([0, 1])) == 0.0
+        assert _epsilon(_sample([2, 3]), _sample([0, 1])) == 0.0
 
     def test_full_violation(self):
-        assert significance.epsilon_w2(_sample([0, 1]), _sample([2, 3])) == 1.0
+        assert _epsilon(_sample([0, 1]), _sample([2, 3])) == 1.0
 
     def test_interleaved_half(self):
-        assert significance.epsilon_w2(_sample([0, 3]), _sample([1, 2])) == 0.5
+        assert _epsilon(_sample([0, 3]), _sample([1, 2])) == 0.5
 
     def test_identical_degenerate(self):
-        assert significance.epsilon_w2(_sample([1, 2, 3]), _sample([1, 2, 3])) == 0.5
+        assert _epsilon(_sample([1, 2, 3]), _sample([1, 2, 3])) == 0.5
 
     def test_order_insensitive_input(self):
         a, b = [3.0, 0.5, 2.0], [1.0, 2.5, 0.0]
-        eps = significance.epsilon_w2(_sample(a), _sample(b))
+        eps = _epsilon(_sample(a), _sample(b))
         random.Random(0).shuffle(a)
-        assert significance.epsilon_w2(_sample(a), _sample(b)) == eps
+        assert _epsilon(_sample(a), _sample(b)) == eps
 
     def test_unequal_sizes(self):
         a = [0.1, 0.4, 0.7, 0.9]
         b = [0.2, 0.3, 0.8]
-        eps = significance.epsilon_w2(_sample(a), _sample(b))
+        eps = _epsilon(_sample(a), _sample(b))
         assert 0.0 < eps < 1.0
         assert abs(eps - grid_epsilon(a, b, points=600_000)) < 1e-6
 
@@ -91,7 +96,7 @@ class TestEpsilon:
         for n, m in ((10, 8), (20, 25), (5, 4), (2, 10)):
             a = rng.normal(0.0, 1.0, n).tolist()
             b = rng.normal(0.3, 1.2, m).tolist()
-            exact = significance.epsilon_w2(_sample(a), _sample(b))
+            exact = _epsilon(_sample(a), _sample(b))
             assert abs(exact - grid_epsilon(a, b)) < 1e-6
 
     @given(
@@ -100,8 +105,8 @@ class TestEpsilon:
     )
     @settings(max_examples=200, deadline=None)
     def test_property_range_and_complement(self, a, b):
-        eps_ab = significance.epsilon_w2(_sample(a), _sample(b))
-        eps_ba = significance.epsilon_w2(_sample(b), _sample(a))
+        eps_ab = _epsilon(_sample(a), _sample(b))
+        eps_ba = _epsilon(_sample(b), _sample(a))
         assert 0.0 <= eps_ab <= 1.0
         if sorted(a) != sorted(b):
             assert abs(eps_ab + eps_ba - 1.0) < 1e-9
@@ -111,13 +116,9 @@ class TestEpsilon:
         for _ in range(50):
             a = [rng.gauss(0, 1) for _ in range(6)]
             b = [rng.gauss(0.5, 1) for _ in range(4)]
-            eps = significance.epsilon_w2(_sample(a), _sample(b))
-            shifted = significance.epsilon_w2(
-                _sample([v + 13.5 for v in a]), _sample([v + 13.5 for v in b])
-            )
-            scaled = significance.epsilon_w2(
-                _sample([v * 4.0 for v in a]), _sample([v * 4.0 for v in b])
-            )
+            eps = _epsilon(_sample(a), _sample(b))
+            shifted = _epsilon(_sample([v + 13.5 for v in a]), _sample([v + 13.5 for v in b]))
+            scaled = _epsilon(_sample([v * 4.0 for v in a]), _sample([v * 4.0 for v in b]))
             assert abs(shifted - eps) < 1e-9
             assert abs(scaled - eps) < 1e-9
 
@@ -312,7 +313,7 @@ class TestAsoOracle:
         a, b = self.CASES[name]
         result = significance.aso(_sample(a), _sample(b), alpha=0.02, n_boot=n_boot, seed=17)
         assert result == walk_aso(a, b, alpha=0.02, n_boot=n_boot, seed=17)
-        assert significance.epsilon_w2(_sample(a), _sample(b)) == walk_epsilon(a, b)
+        assert _epsilon(_sample(a), _sample(b)) == walk_epsilon(a, b)
 
     @pytest.mark.parametrize("name", CASES)
     @pytest.mark.parametrize("past", [0, 1], ids=["one_pass", "one_past"])
@@ -328,7 +329,7 @@ class TestAsoOracle:
         for _ in range(40):
             a = [round(rng.gauss(0, 1), rng.choice((0, 1, 6))) for _ in range(rng.randint(2, 12))]
             b = [round(rng.gauss(0.2, 1), rng.choice((0, 1, 6))) for _ in range(rng.randint(2, 12))]
-            assert significance.epsilon_w2(_sample(a), _sample(b)) == walk_epsilon(a, b)
+            assert _epsilon(_sample(a), _sample(b)) == walk_epsilon(a, b)
             assert significance.aso(_sample(a), _sample(b), n_boot=20, seed=5) == walk_aso(
                 a, b, n_boot=20, seed=5
             )

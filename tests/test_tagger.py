@@ -110,7 +110,7 @@ class TestBuildVocab:
         ds = make_dataset(
             [["B-b", "O"], ["B-a", "I-a"]], intents=["zeta", "alpha"]
         )
-        vocab = tagger.build_vocab([ds])
+        vocab = tagger.build_vocab(ds)
         assert vocab.tokens[:4] == tagger.RESERVED_TOKENS
         assert list(vocab.tokens[4:]) == sorted(vocab.tokens[4:])
         assert vocab.slot_tags == ("O", "B-a", "B-b", "I-a", "I-b")
@@ -118,20 +118,20 @@ class TestBuildVocab:
 
     def test_both_prefixes_for_every_label(self):
         ds = make_dataset([["B-solo"]])
-        vocab = tagger.build_vocab([ds])
+        vocab = tagger.build_vocab(ds)
         assert "I-solo" in vocab.slot_tags
 
     def test_min_count_filters(self):
         ds = make_dataset([["O", "O"], ["O"]])
         # tok0 appears twice (both sentences), tok1 once
-        vocab = tagger.build_vocab([ds], min_count=2)
+        vocab = tagger.build_vocab(ds, min_count=2)
         assert "tok0" in vocab.tokens
         assert "tok1" not in vocab.tokens
 
     def test_extra_sentences_count(self):
         ds = make_dataset([["O"]])
         vocab = tagger.build_vocab(
-            [ds], min_count=2, extra_sentences=[("tok0", "loose")]
+            ds, min_count=2, extra_sentences=[("tok0", "loose")]
         )
         assert "tok0" in vocab.tokens  # once in data + once extra
         assert "loose" not in vocab.tokens
@@ -600,7 +600,7 @@ class TestPredict:
         )
         assert intent in overfit_model.vocab.intents
         assert len(tags) == 4
-        assert bio.is_valid(tags)
+        assert not bio.tag_issues(tags)
 
     def test_empty_tokens(self, overfit_model):
         with pytest.raises(StructuralError, match="empty"):

@@ -1,14 +1,19 @@
-"""The benchmark's tracer against the program it wraps.
+"""The benchmark's tracer against the program it wraps, and the package's public names.
 
 ``perfbench/tracer.py`` looks up every name in its ``WRAPS`` table with
 ``getattr`` and no default, so renaming or deleting one of those names
-breaks the traced benchmark; these tests catch that in the suite.
+breaks the traced benchmark; these tests catch that in the suite. A
+public name that neither the program nor the tracer uses is a second
+path kept alive only by tests, and the last test here refuses it.
 """
 
+import ast
 import importlib
+from pathlib import Path
 
 import pytest
 
+import slukit
 from slukit import cli, corpus, tagger
 
 from support import load_perfbench
@@ -68,3 +73,35 @@ def test_traced_run_reads_each_input_once(tracer, tmp_path, monkeypatch):
         out = tmp_path / argv[-1]
         written = out.stat().st_size + out.with_name(out.name + ".manifest.json").stat().st_size
         assert counts["cli.bytes_written"] == written
+
+
+def test_every_public_name_is_used_by_the_program(tracer):
+    """Each public top-level def and class in the package is referenced by program code.
+
+    A reference is a ``Name`` in the defining module (other than the
+    definition itself), a ``from .module import name``, or a
+    ``module.name`` attribute in any module of the package. Names the
+    tracer wraps count as used, since the benchmark looks them up.
+    """
+    trees = {
+        path.stem: ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted(Path(slukit.__file__).parent.glob("*.py"))
+    }
+    used = {(module, attr) for module, attr, _, _ in tracer.WRAPS}
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add((module, node.id))
+            elif isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
+                used.update((node.module, alias.name) for alias in node.names)
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                used.add((node.value.id, node.attr))
+    unused = [
+        f"slukit.{module}.{node.name}"
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+        and (module, node.name) not in used
+    ]
+    assert unused == []
