@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import hashlib
 import json
 import os
@@ -238,9 +239,15 @@ def _cmd_agreement(args, digests):
         counts = []
         for line, row in rows:
             try:
-                counts.append(tuple(int(row[c]) for c in categories))
+                votes = tuple(int(row[c]) for c in categories)
             except ValueError:
                 raise ParseError(f"non-integer count in row {row[item]!r}", line=line) from None
+            # AgreementTable makes the same checks, but can name only an item index
+            if any(c < 0 for c in votes):
+                raise ParseError("negative count", line=line)
+            if counts and sum(votes) != sum(counts[0]):
+                raise ParseError(f"row sums to {sum(votes)}, expected {sum(counts[0])}", line=line)
+            counts.append(votes)
         kappa = metrics.fleiss_kappa(metrics.AgreementTable(tuple(counts), sum(counts[0])))
     print(f"fleiss_kappa\t{kappa:.4f}")
     return {}, {}
@@ -308,7 +315,13 @@ def _count(text: str) -> int:
     return value
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The slukit argument parser, built once per process and shared by every ``run``.
+
+    Sharing it is safe: ``parse_args`` fills a fresh namespace per call,
+    and no default is a mutable object a call could change.
+    """
     parser = argparse.ArgumentParser(
         prog="slukit",
         description="Evaluation and transfer toolkit for intent and slot data",

@@ -12,7 +12,11 @@ over t in (0, 1]. Epsilon 0 means a's quantiles never fall below b's
 no-evidence midpoint, also returned when the denominator vanishes
 (identical samples). A bootstrap lower confidence bound epsilon_min
 below DOMINANCE_THRESHOLD (0.5) declares the dominance of a over b
-significant.
+significant. Two rules settle a cell without resampling: identical
+empirical distributions give 0.5 with sigma 0 (degenerate), and strictly
+separated supports (every value of one sample above every value of the
+other) give epsilon 0 or 1 in every replicate, so sigma is 0 and
+epsilon_min is epsilon_hat (separated).
 
 The bootstrap is exact and cheap per replicate. Its stream rule: for a
 seed, replicate k draws n indices into a, then m into b, exactly as one
@@ -114,6 +118,36 @@ def _normal_quantile(alpha: float, languages: int = 1) -> float:
     return NormalDist().inv_cdf(1 - adjusted)
 
 
+def _replicate_buffer(n_boot: int) -> np.ndarray:
+    """An uninitialised array for n_boot replicates; n_boot < 1 or too large to hold is refused."""
+    if n_boot < 1:
+        raise StructuralError("n_boot must be >= 1")
+    try:
+        return np.empty(n_boot)
+    except (ValueError, MemoryError):
+        raise StructuralError(f"n_boot {n_boot} is too large to hold") from None
+
+
+def _separated(a: tuple[float, ...], b: tuple[float, ...]) -> bool:
+    """Whether every bootstrap replicate of a against b has the ratio epsilon_hat, exactly.
+
+    With min(a) > max(b) (or the reverse) every segment difference of
+    every replicate has the same sign and a magnitude of at least the gap,
+    since rounding is monotone. Its mass, rounded as ``_masses`` rounds it,
+    is then at least (w_min * gap) * gap for the narrowest plan width
+    w_min, so when that is positive no mass underflows to 0; and when
+    2 * span**2 is finite no total overflows. The ratio is then exactly
+    0.0 (a above) or 1.0 (violation and total are the same sum).
+    """
+    lo_a, hi_a, lo_b, hi_b = min(a), max(a), min(b), max(b)
+    gap = max(lo_a - hi_b, lo_b - hi_a)
+    if gap <= 0.0:
+        return False
+    width = float(_plan(len(a), len(b))[0].min())
+    span = max(hi_a, hi_b) - min(lo_a, lo_b)
+    return width * gap * gap > 0.0 and math.isfinite(2.0 * span * span)
+
+
 @dataclass(frozen=True)
 class AsoResult:
     epsilon_hat: float
@@ -151,21 +185,25 @@ def aso(
     Samples with identical empirical distributions carry no evidence
     either way: they return the degenerate epsilon 0.5 with sigma 0 and
     skip the bootstrap, so resampling noise cannot manufacture a dominance
-    claim. An alpha whose 1 - alpha rounds to 1.0 (below about 5.6e-17) is
-    refused.
+    claim. Samples whose supports are strictly separated (min(a) > max(b)
+    or min(b) > max(a)) also skip it: every resampled quantile difference
+    keeps its sign, so every replicate's ratio is epsilon_hat itself (0.0
+    or 1.0), sigma is 0 and epsilon_min is epsilon_hat. That holds only
+    while no segment mass can underflow to 0 and no total can overflow
+    (``_separated``); otherwise, and for touching supports (0.0 against
+    -0.0 included), the bootstrap runs. An alpha whose 1 - alpha rounds to
+    1.0 (below about 5.6e-17) and an n_boot below 1 or too large to hold
+    are refused before either rule is tried.
     """
     z = _normal_quantile(alpha)
-    if n_boot < 1:
-        raise StructuralError("n_boot must be >= 1")
+    boots = _replicate_buffer(n_boot)
     av, bv = np.asarray(a.values), np.asarray(b.values)
     violation, total = _masses(np.sort(av)[None], np.sort(bv)[None])
     if total[0] == 0.0:
         return AsoResult(0.5, 0.0, 0.5, alpha, 0.5 < DOMINANCE_THRESHOLD)
     eps_hat = float(violation[0] / total[0])
-    try:
-        boots = np.empty(n_boot)
-    except (ValueError, MemoryError):
-        raise StructuralError(f"n_boot {n_boot} is too large to hold") from None
+    if _separated(a.values, b.values):
+        return AsoResult(eps_hat, 0.0, eps_hat, alpha, eps_hat < DOMINANCE_THRESHOLD)
     rng = np.random.default_rng(seed)
     n, m = av.size, bv.size
     # row k: replicate k's a-indices, then its b-indices; one scalar bound when n == m
@@ -226,11 +264,13 @@ def compare_table(
     level is Bonferroni-adjusted to alpha / number of languages, the
     baseline must have a sample for every language, and each present
     (system, language) cell yields one AsoResult testing dominance of
-    the system over the baseline. Deterministic for a given seed.
+    the system over the baseline. Deterministic for a given seed. An
+    alpha or n_boot that ``aso`` would refuse is refused before any cell.
     """
     languages = baseline_languages(scores, baseline)
     systems = sorted({sys for sys, _ in scores if sys != baseline})
     _normal_quantile(alpha, len(languages))  # refuses a bad alpha before any bootstrap
+    _replicate_buffer(n_boot)  # and a bad n_boot, whatever the cells hold
     adjusted = alpha / len(languages)
     seeder = random.Random(seed)
     results: dict[tuple[str, str], AsoResult] = {}

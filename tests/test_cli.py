@@ -16,6 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import slukit
 from slukit import cli, corpus, homogenize, metrics, significance, tagger
 from slukit.errors import StructuralError
 from slukit.tagger import load_model
@@ -113,6 +114,41 @@ class TestValidate:
         with pytest.raises(SystemExit) as exc:
             cli.run(["frobnicate"])
         assert exc.value.code == 2
+
+
+class TestParserOncePerProcess:
+    """``build_parser`` builds one parser per process; each ``run`` still starts clean."""
+
+    def test_one_parser(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_runs_share_no_namespace_state(self, workdir, capsys):
+        (workdir / "scores.csv").write_text(SCORES_CSV)
+        assert cli.run(SIGNIFICANCE + ["--boot", "7", "--out", "sig.txt"]) == 0
+        assert cli.run(["validate", "--in", "scores.csv"]) == 1  # not a dataset
+        assert cli.run(["schedule", "--names", "a,b", "--sizes", "3,1", "--batches", "4",
+                        "--seed", "2", "--out", "s.json"]) == 0
+        assert cli.run(SIGNIFICANCE + ["--out", "sig2.txt"]) == 0
+        assert _manifest(workdir / "s.json.manifest.json")["config"] == {
+            "names": "a,b", "sizes": "3,1", "batches": 4, "alpha": 0.5, "seed": 2,
+            "out": "s.json",
+        }
+        config = _manifest(workdir / "sig2.txt.manifest.json")["config"]
+        assert config["boot"] == 1000 and config["out"] == "sig2.txt"
+        assert config["json"] is None and "names" not in config
+
+    def test_version_and_usage_error_as_before(self, workdir, capsys):
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                cli.run(["--version"])
+            assert exc.value.code == 0
+            assert capsys.readouterr().out == f"slukit {slukit.__version__}\n"
+            with pytest.raises(SystemExit) as exc:
+                cli.run(["significance", "--scores", "s.csv"])
+            assert exc.value.code == 2
+            err = capsys.readouterr().err
+            assert err.startswith("usage: slukit significance")
+            assert "the following arguments are required: --baseline, --seed" in err
 
 
 class TestEvaluate:
@@ -688,6 +724,9 @@ OUT = ["--out", "o.txt"]
     ("table.csv", "item,yes,no\ni1,3,0\ni2,2.5,0.5\n", AGREEMENT,
      "line 3: non-integer count in row 'i2'"),
     ("table.csv", "item,yes,yes\ni1,3,0\n", AGREEMENT, "line 1: column 'yes' repeated"),
+    ("table.csv", "item,yes,no\ni1,3,0\ni2,2,0\n", AGREEMENT,
+     "line 3: row sums to 2, expected 3"),
+    ("table.csv", "item,yes,no\ni1,3,0\n\ni2,4,-1\n", AGREEMENT, "line 4: negative count"),
     ("scores.csv", "a,b\n1,2\nnan,3\n", CORRELATE, "correlation needs finite values"),
     ("scores.csv", SCORES_CSV + "aux,de,f1,9,nan\n", SIGNIFICANCE,
      "system 'aux', language 'de', metric 'f1': sample has non-finite values"),
@@ -712,7 +751,7 @@ OUT = ["--out", "o.txt"]
         "homogenize_in", "homogenize_map", "homogenize_map_target",
         "homogenize_map_empty_target", "merge", "train",
         "predict_model", "predict_in", "agreement", "agreement_long_row", "agreement_count",
-        "agreement_repeated_column", "correlate", "significance_sample",
+        "agreement_repeated_column", "agreement_row_sum", "agreement_negative", "correlate", "significance_sample",
         "significance_line", "significance_long_row", "significance_short_row",
         "correlate_long_row", "correlate_short_row", "correlate_value", "two_metrics", "agreement_csv", "correlate_csv",
         "significance_csv", "header_only", "significance_baseline"])
@@ -767,6 +806,17 @@ class TestSignificance:
             "significance", "--scores", "scores.csv", "--baseline", "base", "--seed", "0", *flags,
         ]) == 1
         assert message in capsys.readouterr().err
+
+    def test_oversized_boot_refused_for_a_degenerate_table(self, workdir, capsys):
+        """The one cell needs no bootstrap (identical samples), yet --boot is still checked."""
+        (workdir / "scores.csv").write_text(
+            "system,language,metric,seed,value\nbase,de,f1,1,1\nbase,de,f1,2,2\n"
+            "sys,de,f1,1,1\nsys,de,f1,2,2\n"
+        )
+        assert cli.run([*SIGNIFICANCE, "--boot", "100000000000000000000"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: n_boot 100000000000000000000 is too large to hold\n"
 
 
 class TestCountFlags:

@@ -12,10 +12,10 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from slukit import significance
+from slukit import cli, significance
 from slukit.errors import ParseError, StructuralError
 
-from support import grid_epsilon, walk_aso, walk_epsilon
+from support import grid_epsilon, load_perfbench, walk_aso, walk_epsilon
 
 finite_floats = st.floats(
     min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False
@@ -230,6 +230,117 @@ class TestAso:
         with pytest.raises(StructuralError, match=f"n_boot {n_boot} is too large"):
             significance.aso(_sample([1, 2]), _sample([0, 1]), n_boot=n_boot)
 
+    @pytest.mark.parametrize("b", [[1, 2], [-1, 0.5]], ids=["degenerate", "separated"])
+    def test_n_boot_refused_before_either_early_return(self, b):
+        with pytest.raises(StructuralError, match="n_boot 100000000000000000000 is too large"):
+            significance.aso(_sample([1, 2]), _sample(b), n_boot=10 ** 20)
+        with pytest.raises(StructuralError, match="n_boot must be >= 1"):
+            significance.aso(_sample([1, 2]), _sample(b), n_boot=0)
+
+
+class TestSeparated:
+    """Strictly separated supports settle a cell without resampling, bit for bit as walk_aso."""
+
+    @pytest.fixture
+    def draws(self, monkeypatch):
+        """The seeds ``np.random.default_rng`` is called with, from here on."""
+        calls, real = [], np.random.default_rng
+
+        def default_rng(seed):
+            calls.append(seed)
+            return real(seed)
+
+        monkeypatch.setattr(np.random, "default_rng", default_rng)
+        return calls
+
+    ABOVE = ([2.0, 3.0, 2.5], [0.1, 1.9, 1.0, 0.5])  # mixed sizes, 3 vs 4
+
+    @pytest.mark.parametrize("above", [True, False], ids=["above", "below"])
+    @pytest.mark.parametrize("n_boot", [1, 60, significance.BOOT_DRAWS // 7 + 1],
+                             ids=["one", "sixty", "past_a_pass"])
+    def test_separated_skips_resampling(self, draws, above, n_boot):
+        a, b = self.ABOVE if above else self.ABOVE[::-1]
+        expected = walk_aso(a, b, alpha=0.02, n_boot=n_boot, seed=5)
+        draws.clear()
+        result = significance.aso(_sample(a), _sample(b), alpha=0.02, n_boot=n_boot, seed=5)
+        assert result == expected and draws == []
+        assert result == significance.AsoResult(
+            0.0 if above else 1.0, 0.0, 0.0 if above else 1.0, 0.02, above
+        )
+
+    @pytest.mark.parametrize("a,b", [
+        ([1.9, 3.0, 2.5], [0.1, 1.9, 1.0]),  # min(a) == max(b)
+        ([0.0, 1.0, 2.0], [-0.0, -1.0]),  # 0.0 against -0.0
+        ([-0.0, 1.0], [0.0, -1.0, -2.0]),
+        ([0.3, 1.2, 0.8], [0.5, 0.1]),  # overlapping
+    ], ids=["touching", "zero_vs_negative_zero", "negative_zero_vs_zero", "overlapping"])
+    def test_touching_or_overlapping_resamples(self, draws, a, b):
+        expected = walk_aso(a, b, n_boot=60, seed=8)
+        draws.clear()
+        assert significance.aso(_sample(a), _sample(b), n_boot=60, seed=8) == expected
+        assert draws == [8]
+
+    def test_squared_gap_that_underflows_resamples(self, draws):
+        """(w_min * gap) * gap is 0 here, so a replicate can have no mass at all.
+
+        The sample's own total is positive (the 4g segment keeps a mass), so
+        epsilon_hat is 0.0, but the replicates that draw g twice from a have
+        a zero total and read 0.5: sigma is not 0, and only resampling finds it.
+        """
+        g = 1e-162  # (0.5 * g) * g rounds to 0; (0.5 * 4g) * 4g does not
+        a, b = [g, 4 * g], [0.0, 0.0]
+        assert (0.5 * g) * g == 0.0 < (0.5 * 4 * g) * (4 * g)
+        expected = walk_aso(a, b, n_boot=60, seed=9)
+        draws.clear()
+        result = significance.aso(_sample(a), _sample(b), n_boot=60, seed=9)
+        assert result == expected
+        assert result.epsilon_hat == 0.0 and result.sigma_boot > 0.0
+        assert draws == [9]
+
+    def test_smallest_gap_kept_whole_skips_resampling(self, draws):
+        g = 1e-161  # (0.5 * g) * g is about 5e-323, a subnormal but not 0
+        a, b = [g, 4 * g], [0.0, 0.0]
+        expected = walk_aso(a, b, n_boot=60, seed=9)
+        draws.clear()
+        assert significance.aso(_sample(a), _sample(b), n_boot=60, seed=9) == expected
+        assert draws == []
+
+    @pytest.mark.parametrize("scale,resampled", [(6e153, True), (4e153, False)])
+    def test_span_whose_doubled_square_overflows_resamples(self, draws, scale, resampled):
+        """2 * span**2 overflows at span 1.3e154 (not at 0.9e154); the result is exact either way."""
+        a, b = [scale, 1.1 * scale], [-1.1 * scale, -scale]
+        span = 2.2 * scale
+        assert math.isfinite(span * span) and math.isfinite(2 * span * span) != resampled
+        expected = walk_aso(b, a, n_boot=60, seed=4)
+        draws.clear()
+        result = significance.aso(_sample(b), _sample(a), n_boot=60, seed=4)
+        assert result == expected
+        assert result.epsilon_hat == 1.0 and result.sigma_boot == 0.0
+        assert draws == ([4] if resampled else [])
+
+    def test_workload_table_equals_walk(self, tmp_path, monkeypatch):
+        """The significance benchmark's own scores, through the CLI: every cell is walk_aso's."""
+        gen = load_perfbench("gen", monkeypatch)
+        monkeypatch.chdir(tmp_path)
+        gen.significance(9501, tmp_path)
+        assert cli.run([
+            "significance", "--scores", "scores.csv", "--baseline", "baseline", "--boot", "200",
+            "--seed", "9501", "--json", "table.json",
+        ]) == 0
+        payload = json.loads((tmp_path / "table.json").read_text())
+        scores = significance.parse_scores_csv((tmp_path / "scores.csv").read_text())
+        seeder = random.Random(9501)
+        separated = 0
+        for row in payload["results"]:  # sorted by system, then language: the seeder's order
+            a = scores[(row["system"], row["language"], "f1")].values
+            b = scores[("baseline", row["language"], "f1")].values
+            expected = walk_aso(a, b, alpha=payload["alpha_adjusted"], n_boot=200,
+                                seed=seeder.randrange(2 ** 32))
+            fields = {k: v for k, v in row.items() if k not in ("system", "language")}
+            assert fields == vars(expected), row
+            separated += significance._separated(a, b)
+        assert len(payload["results"]) == 24 and separated == 12
+
 
 class TestBlockDraw:
     """The properties ``aso`` relies on: one ``integers`` call per pass keeps the stream."""
@@ -442,6 +553,11 @@ class TestCompareTable:
         message = "alpha 1e-16 (3.3333333333333335e-17 per language) is too small"
         with pytest.raises(StructuralError, match=re.escape(message)):
             significance.compare_table(self._scores(), "base", alpha=1e-16)
+
+    def test_n_boot_too_large_refused_before_bootstrap(self, monkeypatch):
+        monkeypatch.setattr(significance, "aso", _never_called)
+        with pytest.raises(StructuralError, match="n_boot 100000000000000000000 is too large"):
+            significance.compare_table(self._scores(), "base", n_boot=10 ** 20)
 
     @pytest.mark.parametrize("alpha", [1.5, 1.0])
     def test_alpha_out_of_range(self, alpha):
