@@ -2,7 +2,8 @@
 
 A tag is ``O`` or ``B-<label>``/``I-<label>`` with a nonempty label that
 contains no whitespace. A sequence is valid when every ``I`` continues a
-chunk opened by a ``B`` (or an earlier ``I``) with the same label.
+chunk opened by a ``B`` (or an earlier ``I``) with the same label; a
+violation is a position that ``repair`` rewrites.
 """
 
 from __future__ import annotations
@@ -72,27 +73,16 @@ def check_tags(tags) -> None:
 
 
 def tag_issues(tags) -> list[tuple[int, IssueKind]]:
-    """Scan a sequence for BIO violations.
+    """Scan a sequence for BIO violations: the positions that repair rewrites.
 
-    Reports an I that opens a chunk as ORPHAN_I and an I whose label
-    differs from its chunk's governing label as LABEL_SWITCH. The
-    governing label is the one carried by the chunk-initial token,
-    whether that token was a B or an orphan I.
+    An I that repair promotes to B opened a chunk (ORPHAN_I); an I that it
+    rewrites to another I broke its chunk's label (LABEL_SWITCH).
     """
-    check_tags(tags)
-    issues = []
-    inside: str | None = None
-    for pos, tag in enumerate(tags):
-        if tag == "O":
-            inside = None
-        elif tag[0] == "B":
-            inside = "I" + tag[1:]
-        elif inside is None:
-            issues.append((pos, IssueKind.ORPHAN_I))
-            inside = tag
-        elif tag != inside:
-            issues.append((pos, IssueKind.LABEL_SWITCH))
-    return issues
+    return [
+        (pos, IssueKind.ORPHAN_I if new[0] == "B" else IssueKind.LABEL_SWITCH)
+        for pos, (old, new) in enumerate(zip(tags, repair(tags)))
+        if old != new
+    ]
 
 
 def repair(tags) -> list[str]:
@@ -138,7 +128,7 @@ def spans_from_tags(tags) -> list[SlotSpan]:
         if tag == inside:
             continue
         if tag[0] == "I":
-            kind = IssueKind.ORPHAN_I if inside is None else IssueKind.LABEL_SWITCH
+            pos, kind = tag_issues(tags)[0]
             raise StructuralError(f"invalid BIO sequence: {kind.value} at position {pos}")
         if inside is not None:
             spans.append(SlotSpan(start, pos, inside[2:]))

@@ -49,7 +49,9 @@ def _read_text(path: str, digests: dict[str, str]) -> str:
         text = data.decode("utf-8")
     except UnicodeDecodeError as err:
         raise ToolkitError(f"cannot read {path}: not UTF-8 text (byte {err.start})") from None
-    return text.replace("\r\n", "\n").replace("\r", "\n")  # universal newlines
+    if "\r" in text:  # universal newlines; an LF-only text needs no pass
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text
 
 
 def _check_out(path: Path) -> None:

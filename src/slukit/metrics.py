@@ -221,7 +221,12 @@ def _unit_scaled(values: list[float]) -> list[float]:
 
 
 def pearson(x, y) -> float:
-    """Sample Pearson correlation; needs two or more points and spread in both."""
+    """Sample Pearson correlation; needs two or more points and spread in both.
+
+    It is ``statistics.correlation`` (exact ``fsum`` sums) of the unit-scaled values.
+    """
+    from statistics import StatisticsError, correlation  # only ``correlate`` needs it
+
     x, y = list(x), list(y)
     if len(x) != len(y):
         raise StructuralError(f"length mismatch: {len(x)} vs {len(y)}")
@@ -229,17 +234,10 @@ def pearson(x, y) -> float:
         raise StructuralError("correlation needs at least 2 points")
     if not all(math.isfinite(v) for v in x + y):
         raise StructuralError("correlation needs finite values")
-    x, y = _unit_scaled(x), _unit_scaled(y)
-    mean_x = sum(x) / len(x)
-    mean_y = sum(y) / len(y)
-    dx = [v - mean_x for v in x]
-    dy = [v - mean_y for v in y]
-    sxx = sum(v * v for v in dx)
-    syy = sum(v * v for v in dy)
-    if sxx == 0.0 or syy == 0.0:
-        raise StructuralError("correlation is undefined for a zero-variance input")
-    sxy = sum(a * b for a, b in zip(dx, dy))
-    return sxy / math.sqrt(sxx * syy)
+    try:
+        return correlation(_unit_scaled(x), _unit_scaled(y))
+    except StatisticsError:
+        raise StructuralError("correlation is undefined for a zero-variance input") from None
 
 
 def format_report(report: EvalReport) -> str:

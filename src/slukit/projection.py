@@ -89,9 +89,8 @@ def project_labels(src_tags, rec: AlignmentRecord) -> list[str]:
             f"record {rec.id!r}: {len(src_tags)} tags for "
             f"{len(rec.src_tokens)} source tokens"
         )
-    problems = bio.tag_issues(src_tags)
-    if problems:
-        pos, kind = problems[0]
+    if bio.repair(src_tags) != src_tags:
+        pos, kind = bio.tag_issues(src_tags)[0]
         raise StructuralError(
             f"record {rec.id!r}: invalid source BIO ({kind.value} at position {pos})"
         )

@@ -12,11 +12,13 @@ over t in (0, 1]. Epsilon 0 means a's quantiles never fall below b's
 no-evidence midpoint, also returned when the denominator vanishes
 (identical samples). A bootstrap lower confidence bound epsilon_min
 below DOMINANCE_THRESHOLD (0.5) declares the dominance of a over b
-significant. Two rules settle a cell without resampling: identical
-empirical distributions give 0.5 with sigma 0 (degenerate), and strictly
-separated supports (every value of one sample above every value of the
-other) give epsilon 0 or 1 in every replicate, so sigma is 0 and
-epsilon_min is epsilon_hat (separated).
+significant. Scores are put on a unit scale by one power of two before
+any mass is taken, so epsilon keeps every bit of ordinary scores and is
+defined for scores near the limits of float64. Two rules settle a cell
+without resampling: identical empirical distributions give 0.5 with
+sigma 0 (degenerate), and strictly separated supports (every value of
+one sample above every value of the other) give epsilon 0 or 1 in every
+replicate, so sigma is 0 and epsilon_min is epsilon_hat (separated).
 
 The bootstrap is exact and cheap per replicate. Its stream rule: for a
 seed, replicate k draws n indices into a, then m into b, exactly as one
@@ -128,15 +130,15 @@ def _replicate_buffer(n_boot: int) -> np.ndarray:
         raise StructuralError(f"n_boot {n_boot} is too large to hold") from None
 
 
-def _separated(a: tuple[float, ...], b: tuple[float, ...]) -> bool:
-    """Whether every bootstrap replicate of a against b has the ratio epsilon_hat, exactly.
+def _separated(a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether every bootstrap replicate of unit-scaled a against b has the ratio epsilon_hat.
 
     With min(a) > max(b) (or the reverse) every segment difference of
     every replicate has the same sign and a magnitude of at least the gap,
     since rounding is monotone. Its mass, rounded as ``_masses`` rounds it,
     is then at least (w_min * gap) * gap for the narrowest plan width
-    w_min, so when that is positive no mass underflows to 0; and when
-    2 * span**2 is finite no total overflows. The ratio is then exactly
+    w_min, so when that is positive no mass underflows to 0; no total can
+    overflow, since every magnitude is below 1. The ratio is then exactly
     0.0 (a above) or 1.0 (violation and total are the same sum).
     """
     lo_a, hi_a, lo_b, hi_b = min(a), max(a), min(b), max(b)
@@ -144,8 +146,7 @@ def _separated(a: tuple[float, ...], b: tuple[float, ...]) -> bool:
     if gap <= 0.0:
         return False
     width = float(_plan(len(a), len(b))[0].min())
-    span = max(hi_a, hi_b) - min(lo_a, lo_b)
-    return width * gap * gap > 0.0 and math.isfinite(2.0 * span * span)
+    return width * gap * gap > 0.0
 
 
 @dataclass(frozen=True)
@@ -166,8 +167,13 @@ def aso(
 ) -> AsoResult:
     """Test whether sample a almost stochastically dominates sample b.
 
-    Both samples are bootstrapped at their original sizes; sigma is the
-    raw (population) standard deviation of the bootstrap epsilons, and
+    Both samples are first multiplied by one power of two, 2**-k with k
+    the binary exponent of the largest magnitude in either, so every value
+    lies in (-1, 1): epsilon does not depend on scale, a power of two
+    scales exactly, and no mass can overflow however large the scores are,
+    or underflow merely because they are all small. Both samples are
+    bootstrapped at their original sizes; sigma is the raw (population)
+    standard deviation of the bootstrap epsilons, and
 
         epsilon_min = epsilon_hat - sigma * InverseNormal(1 - alpha).
 
@@ -189,20 +195,21 @@ def aso(
     or min(b) > max(a)) also skip it: every resampled quantile difference
     keeps its sign, so every replicate's ratio is epsilon_hat itself (0.0
     or 1.0), sigma is 0 and epsilon_min is epsilon_hat. That holds only
-    while no segment mass can underflow to 0 and no total can overflow
-    (``_separated``); otherwise, and for touching supports (0.0 against
-    -0.0 included), the bootstrap runs. An alpha whose 1 - alpha rounds to
+    while no segment mass can underflow to 0 (``_separated``); otherwise,
+    and for touching supports (0.0 against -0.0 included), the bootstrap
+    runs. An alpha whose 1 - alpha rounds to
     1.0 (below about 5.6e-17) and an n_boot below 1 or too large to hold
     are refused before either rule is tried.
     """
     z = _normal_quantile(alpha)
     boots = _replicate_buffer(n_boot)
-    av, bv = np.asarray(a.values), np.asarray(b.values)
+    _, exponent = math.frexp(max(map(abs, a.values + b.values)))
+    av, bv = np.ldexp(a.values, -exponent), np.ldexp(b.values, -exponent)
     violation, total = _masses(np.sort(av)[None], np.sort(bv)[None])
     if total[0] == 0.0:
         return AsoResult(0.5, 0.0, 0.5, alpha, 0.5 < DOMINANCE_THRESHOLD)
     eps_hat = float(violation[0] / total[0])
-    if _separated(a.values, b.values):
+    if _separated(av, bv):
         return AsoResult(eps_hat, 0.0, eps_hat, alpha, eps_hat < DOMINANCE_THRESHOLD)
     rng = np.random.default_rng(seed)
     n, m = av.size, bv.size

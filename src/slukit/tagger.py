@@ -35,7 +35,7 @@ import math
 import random
 from collections import Counter
 from dataclasses import asdict, dataclass, fields
-from itertools import chain
+from itertools import chain, repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -111,9 +111,6 @@ class Vocab:
         object.__setattr__(self, "_tag_ids", {t: i for i, t in enumerate(self.slot_tags)})
         object.__setattr__(self, "_intent_ids", {t: i for i, t in enumerate(self.intents)})
 
-    def token_id(self, token: str) -> int:
-        return self._token_ids.get(token, UNK_ID)
-
     def tag_id(self, tag: str) -> int:
         try:
             return self._tag_ids[tag]
@@ -127,7 +124,7 @@ class Vocab:
             raise StructuralError(f"intent {intent!r} not in inventory") from None
 
     def encode_tokens(self, tokens) -> list[int]:
-        return [self.token_id(t) for t in tokens]
+        return list(map(self._token_ids.get, tokens, repeat(UNK_ID)))
 
 
 def build_vocab(data: Dataset, min_count: int = 1, extra_sentences=()) -> Vocab:

@@ -20,6 +20,7 @@ from statistics import NormalDist
 import numpy as np
 
 import slukit
+from slukit.bio import IssueKind, check_tags, parse_tag
 from slukit.corpus import Dataset, Utterance
 from slukit.errors import ParseError, StructuralError
 from slukit.significance import AsoResult
@@ -130,6 +131,28 @@ def brute_spans(tags) -> set[tuple[int, int, str]]:
                     continue
                 found.add((start, end, label))
     return found
+
+
+def scan_tag_issues(tags) -> list[tuple[int, IssueKind]]:
+    """BIO violations by a walk of chunk labels, without repairing anything.
+
+    An I with no open chunk is an orphan and opens one with its own label;
+    an I whose label differs from its chunk's is a switch and leaves the
+    chunk's label as it was. A malformed tag raises as ``check_tags`` does.
+    """
+    check_tags(tags)
+    issues = []
+    label = None
+    for pos, tag in enumerate(tags):
+        prefix, own = parse_tag(tag)
+        if prefix != "I":
+            label = own
+        elif label is None:
+            issues.append((pos, IssueKind.ORPHAN_I))
+            label = own
+        elif own != label:
+            issues.append((pos, IssueKind.LABEL_SWITCH))
+    return issues
 
 
 def oracle_strict_micro(gold_seqs, pred_seqs) -> tuple[float, float, float]:

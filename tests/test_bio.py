@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 from slukit import bio
 from slukit.errors import StructuralError
 
-from support import REPAIR_CASES, brute_spans, random_messy_tags, random_valid_tags
+from support import (
+    REPAIR_CASES, brute_spans, random_messy_tags, random_valid_tags, scan_tag_issues,
+)
 
 
 class TestParseTag:
@@ -112,6 +114,18 @@ class TestIssues:
         with pytest.raises(StructuralError, match="position 1"):
             bio.tag_issues(["O", "bogus"])
 
+    @given(st.lists(st.sampled_from(["O", "B-a", "I-a", "B-b", "I-b", "I-c", "I-"]), max_size=12))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_a_scan_of_chunk_labels(self, tags):
+        """tag_issues reads violations off repair; the scan classifies them itself."""
+        try:
+            expected = scan_tag_issues(tags)
+        except StructuralError as err:
+            with pytest.raises(StructuralError, match=f"^{re.escape(str(err))}$"):
+                bio.tag_issues(tags)
+        else:
+            assert bio.tag_issues(tags) == expected
+
 
 class TestRepair:
     @pytest.mark.parametrize("tags,expected", REPAIR_CASES)
@@ -198,6 +212,23 @@ class TestSpanConversion:
         with pytest.raises(StructuralError) as err:
             bio.spans_from_tags(tags)
         assert str(err.value) == f"invalid BIO sequence: {kind.value} at position {pos}"
+
+    @given(st.lists(st.sampled_from(["O", "B-a", "I-a", "B-b", "I-b", "I-c", "I-"]), max_size=12))
+    @settings(max_examples=300, deadline=None)
+    def test_raises_exactly_when_tag_issues_is_nonempty(self, tags):
+        """spans_from_tags stops on its own walk; tag_issues comes from repair's."""
+        try:
+            issues = bio.tag_issues(tags)
+        except StructuralError as err:  # a malformed tag, reported alike by both
+            message = str(err)
+        else:
+            if not issues:
+                bio.spans_from_tags(tags)
+                return
+            pos, kind = issues[0]
+            message = f"invalid BIO sequence: {kind.value} at position {pos}"
+        with pytest.raises(StructuralError, match=f"^{re.escape(message)}$"):
+            bio.spans_from_tags(tags)
 
     def test_tags_from_spans_rejects_overlap(self):
         with pytest.raises(StructuralError, match="overlap"):

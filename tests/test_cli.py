@@ -779,6 +779,20 @@ class TestSignificance:
         payload = json.loads((workdir / "sig.json").read_text())
         assert payload["dominant_counts"] == {"aux": 1}
 
+    @pytest.mark.parametrize("scale", ["e300", "e-200"], ids=["huge", "tiny"])
+    def test_scores_near_the_float_limits(self, workdir, capsys, recwarn, scale):
+        """Every sys score is below every base score, whatever their magnitude: epsilon 1."""
+        (workdir / "scores.csv").write_text(
+            "system,language,metric,seed,value\n"
+            f"base,de,f1,1,1{scale}\nbase,de,f1,2,2{scale}\n"
+            f"sys,de,f1,1,-1{scale}\nsys,de,f1,2,-2{scale}\n"
+        )
+        assert cli.run([*SIGNIFICANCE, "--json", "sig.json"]) == 0
+        assert "sys     de        1.0000   0.0000  1.0000   no" in capsys.readouterr().out
+        text = (workdir / "sig.json").read_text()
+        assert "NaN" not in text and json.loads(text)["results"][0]["epsilon_hat"] == 1.0
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
     def test_metric_required_when_ambiguous(self, workdir, capsys):
         two_metrics = SCORES_CSV + "base,de,acc,1,0.5\nbase,de,acc,2,0.6\n"
         (workdir / "scores.csv").write_text(two_metrics)

@@ -281,21 +281,37 @@ class TestSeparated:
         assert draws == [8]
 
     def test_squared_gap_that_underflows_resamples(self, draws):
-        """(w_min * gap) * gap is 0 here, so a replicate can have no mass at all.
+        """(w_min * gap) * gap is 0 on the unit scale, so a replicate can have no mass at all.
 
-        The sample's own total is positive (the 4g segment keeps a mass), so
-        epsilon_hat is 0.0, but the replicates that draw g twice from a have
-        a zero total and read 0.5: sigma is not 0, and only resampling finds it.
+        b's -0.5 fixes the scale at 1. The sample's own total is positive, so
+        epsilon_hat is 0.0, but the replicates that draw g twice from a and
+        0.0 three times from b have a zero total (no segment is wider than
+        0.5) and read 0.5: sigma is not 0, and only resampling finds it.
         """
-        g = 1e-162  # (0.5 * g) * g rounds to 0; (0.5 * 4g) * 4g does not
-        a, b = [g, 4 * g], [0.0, 0.0]
-        assert (0.5 * g) * g == 0.0 < (0.5 * 4 * g) * (4 * g)
+        g = 1e-162  # (0.5 * g) * g rounds to 0
+        a, b = [g, 4 * g], [0.0, 0.0, -0.5]
+        assert (0.5 * g) * g == 0.0
         expected = walk_aso(a, b, n_boot=60, seed=9)
         draws.clear()
         result = significance.aso(_sample(a), _sample(b), n_boot=60, seed=9)
         assert result == expected
         assert result.epsilon_hat == 0.0 and result.sigma_boot > 0.0
         assert draws == [9]
+
+    def test_tiny_scores_are_scaled_whole(self, draws):
+        """Raw, (0.5 * g) * g underflows and replicates would lose their mass.
+
+        On the unit scale (a times 2**-k, b unchanged) every mass is kept, so
+        the cell is separated: it equals walk_aso on the scaled samples.
+        """
+        g = 1e-162
+        a, b = [g, 4 * g], [0.0, 0.0]
+        _, k = math.frexp(4 * g)
+        expected = walk_aso([math.ldexp(v, -k) for v in a], b, n_boot=60, seed=9)
+        draws.clear()
+        result = significance.aso(_sample(a), _sample(b), n_boot=60, seed=9)
+        assert result == expected == significance.AsoResult(0.0, 0.0, 0.0, 0.05, True)
+        assert draws == []
 
     def test_smallest_gap_kept_whole_skips_resampling(self, draws):
         g = 1e-161  # (0.5 * g) * g is about 5e-323, a subnormal but not 0
@@ -305,18 +321,22 @@ class TestSeparated:
         assert significance.aso(_sample(a), _sample(b), n_boot=60, seed=9) == expected
         assert draws == []
 
-    @pytest.mark.parametrize("scale,resampled", [(6e153, True), (4e153, False)])
-    def test_span_whose_doubled_square_overflows_resamples(self, draws, scale, resampled):
-        """2 * span**2 overflows at span 1.3e154 (not at 0.9e154); the result is exact either way."""
+    @pytest.mark.parametrize("scale,overflows", [(6e153, True), (4e153, False)])
+    def test_span_whose_doubled_square_overflows_resamples(self, draws, scale, overflows):
+        """On the raw scale 2 * span**2 overflows at span 1.3e154 (not at 0.9e154).
+
+        On the unit scale every span is below 2, so no total can overflow,
+        and neither cell resamples; the result is exact either way.
+        """
         a, b = [scale, 1.1 * scale], [-1.1 * scale, -scale]
         span = 2.2 * scale
-        assert math.isfinite(span * span) and math.isfinite(2 * span * span) != resampled
+        assert math.isfinite(span * span) and math.isfinite(2 * span * span) != overflows
         expected = walk_aso(b, a, n_boot=60, seed=4)
         draws.clear()
         result = significance.aso(_sample(b), _sample(a), n_boot=60, seed=4)
         assert result == expected
         assert result.epsilon_hat == 1.0 and result.sigma_boot == 0.0
-        assert draws == ([4] if resampled else [])
+        assert draws == []
 
     def test_workload_table_equals_walk(self, tmp_path, monkeypatch):
         """The significance benchmark's own scores, through the CLI: every cell is walk_aso's."""

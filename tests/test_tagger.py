@@ -88,8 +88,7 @@ class TestVocab:
 
     def test_unknown_token_falls_back(self):
         vocab = small_vocab()
-        assert vocab.token_id("alpha") == 4
-        assert vocab.token_id("never-seen") == tagger.UNK_ID
+        assert vocab.encode_tokens(["alpha", "never-seen"]) == [4, tagger.UNK_ID]
 
     def test_tag_and_intent_lookups_strict(self):
         vocab = small_vocab()
