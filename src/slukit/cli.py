@@ -173,9 +173,10 @@ def _cmd_homogenize(args, digests):
 
 
 def _cmd_merge(args, digests):
-    datasets = [_load(path, digests) for path in args.inputs]
-    merged = homogenize.merge_shuffle(datasets, args.seed)
-    return {"out": corpus.write_dataset(merged)}, {"rng": homogenize.RNG_ALGORITHM}
+    # each input is checked as a dataset, but only its block texts are shuffled and written
+    pools = [_load(path, digests, corpus.parse_blocks) for path in args.inputs]
+    merged = homogenize.merge_shuffle(pools, args.seed)
+    return {"out": corpus.write_blocks(merged)}, {"rng": homogenize.RNG_ALGORITHM}
 
 
 def _cmd_schedule(args, digests):

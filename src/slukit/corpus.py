@@ -13,11 +13,17 @@ One utterance per block, blocks separated by exactly one blank line::
 
 Token indices are 1-based and contiguous, written as plain decimals
 (``1``, ``2``, ...; no sign, padding or other digits). Files are UTF-8
-with LF line endings and no trailing blank line; ``write_dataset`` emits
-exactly this shape and ``parse_dataset`` inverts it, in one regex pass
-over the text. In a parsed Dataset, equal tokens, tags and intents share
-one ``str`` object (a corpus has far fewer types than tokens), so
-callers compare them with ``==``, never ``is``.
+with LF line endings and no trailing blank line; ``write_blocks`` emits
+exactly this shape, and ``write_dataset`` writes through it.
+``parse_dataset`` inverts it, in one regex pass over the text. In a
+parsed Dataset, equal tokens, tags and intents share one ``str`` object
+(a corpus has far fewer types than tokens), so callers compare them with
+``==``, never ``is``.
+
+``parse_blocks`` makes the same scan and the same checks, but keeps each
+block as its text: a caller that only reorders utterances (``merge``)
+never builds a record. Any text the scan refuses goes to
+``parse_dataset``, so both raise the same error for it.
 
 ``csv_rows`` reads the CSV tables that ``agreement``, ``correlate`` and
 ``significance`` take: no column name repeats, and every row holds
@@ -160,40 +166,82 @@ class Issue:
     kind: bio.IssueKind
 
 
+class _Refused(Exception):
+    """Raised by ``_scan`` at the first block it refuses; holds that block's match."""
+
+
+def _scan(text: str):
+    """Yield ``(match, cells)`` for each block of ``text``, in order: the one bulk scan.
+
+    Each block is matched whole by one pattern, the matches must tile the
+    text up to blank lines, and a block's index cells must read 1..n.
+    ``cells`` is the block's rows split into their cells, three per row.
+    At the first block this refuses, or nonblank text after the last
+    block, it raises ``_Refused`` with a ``_BLOCK_RE`` match of it. Tags
+    are not checked here.
+    """
+    end = 0
+    for match in _UTTERANCE_RE.finditer(text):
+        if match.start() != end:
+            break
+        cells = match[4].replace("\n", "\t").split("\t")
+        if cells[0::3] != _indices(len(cells) // 3):
+            break
+        yield match, cells
+        end = match.end()
+    block = _BLOCK_RE.search(text, end)
+    if block:
+        raise _Refused(block)
+
+
 def parse_dataset(text: str) -> Dataset:
     """Parse the block format into a Dataset, in one pass over the text.
 
     Extra blank lines before, between and after blocks are tolerated; the
     canonical form written by write_dataset has exactly one separator line
-    and none at the end. Each block is matched whole by one pattern, and
-    the matches must tile the text up to trailing newlines. At the first
-    block the pattern or the index check rejects, that block is walked
-    line by line to word the error with its line number (the caller adds
-    the file's path). Equal tokens, tags and intents share one ``str``
-    object, so compare them with ``==``, never ``is``.
+    and none at the end. At the first block the scan (``_scan``) refuses,
+    that block is walked line by line to word the error with its line
+    number (the caller adds the file's path). Equal tokens, tags and
+    intents share one ``str`` object, so compare them with ``==``, never
+    ``is``.
     """
     utterances = []
     canonical = {}.setdefault  # one object per distinct value: the rows hold no copies
-    end = 0
-    for match in _UTTERANCE_RE.finditer(text):
-        if match.start() != end:
-            break
-        utt_id, utt_text, intent, rows = match.groups()
-        cells = rows.replace("\n", "\t").split("\t")
-        if cells[0::3] != _indices(len(cells) // 3):
-            break
-        tokens, tags = cells[1::3], cells[2::3]
-        utterances.append(Utterance(
-            utt_id, utt_text, tuple(map(canonical, tokens, tokens)),
-            tuple(map(canonical, tags, tags)), canonical(intent, intent),
-        ))
-        end = match.end()
-    block = _BLOCK_RE.search(text, end)  # the first block not parsed, if any
-    if block:
+    try:
+        for match, cells in _scan(text):
+            tokens, tags, intent = cells[1::3], cells[2::3], match[3]
+            utterances.append(Utterance(
+                match[1], match[2], tuple(map(canonical, tokens, tokens)),
+                tuple(map(canonical, tags, tags)), canonical(intent, intent),
+            ))
+    except _Refused as refused:
         Dataset(utterances)  # a bad row in an earlier block is reported first
+        block = refused.args[0]
         first = text.count("\n", 0, block.start()) + 1
         _block_error(list(enumerate(block.group().split("\n"), start=first)))
     return Dataset(tuple(utterances))
+
+
+def parse_blocks(text: str) -> list[str]:
+    """The blocks of ``text``, each exactly as ``write_dataset`` writes it: lines, no final newline.
+
+    The scan and the checks are parse_dataset's (``_scan``, then one
+    lexical check over the union of the tags), and no record is built:
+    a block's text is a slice of ``text``. A block parse_dataset accepts
+    is written back as its own text, so ``write_blocks(parse_blocks(t))
+    == write_dataset(parse_dataset(t))``. Any text this refuses is handed
+    to parse_dataset, which raises the error it raises today.
+    """
+    blocks, tags = [], set()
+    try:
+        for match, cells in _scan(text):
+            tags.update(cells[2::3])
+            blocks.append(text[match.start(1) - len(_ID):match.end()])
+        bio.check_tags(tags)
+    except (_Refused, StructuralError):
+        parse_dataset(text)  # raises the error, with its line or utterance id
+        raise AssertionError("parse_blocks refused a text that parse_dataset accepts") from None
+    return blocks
 
 
 def _indices(n: int) -> list[str]:
@@ -229,16 +277,23 @@ def _block_error(lines: list[tuple[int, str]]) -> None:
     raise AssertionError("a block failed the bulk checks but passed the line checks")
 
 
+def write_blocks(blocks) -> str:
+    """The file of the given block texts: one blank line between blocks and a final newline.
+
+    No blocks give the empty text. This is the one place the file layout
+    is written; ``write_dataset`` and ``merge`` write through it.
+    """
+    return "\n\n".join(blocks) + "\n" if blocks else ""
+
+
 def write_dataset(ds: Dataset) -> str:
     """Serialise to the canonical block format; inverse of parse_dataset."""
     index = _indices(max((len(utt.tokens) for utt in ds.utterances), default=0))
-    blocks = []
-    for utt in ds.utterances:
-        rows = map("\t".join, zip(index, utt.tokens, utt.slot_tags))
-        blocks.append(
-            f"{_ID}{utt.id}\n{_TEXT}{utt.text}\n{_INTENT}{utt.intent}\n" + "\n".join(rows) + "\n"
-        )
-    return "\n".join(blocks)
+    return write_blocks([
+        f"{_ID}{utt.id}\n{_TEXT}{utt.text}\n{_INTENT}{utt.intent}\n"
+        + "\n".join(map("\t".join, zip(index, utt.tokens, utt.slot_tags)))
+        for utt in ds.utterances
+    ])
 
 
 def validate(ds: Dataset) -> list[Issue]:

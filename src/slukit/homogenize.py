@@ -3,9 +3,11 @@
 Different corpora name the same concepts differently (for example several
 location-ish labels on one side versus a single LOCATION on the other).
 A LabelMap renames slot labels and intents onto a shared inventory; any
-label without an entry maps to itself. After renaming, datasets are
-concatenated and shuffled with a pinned, documented PRNG so a merge can
-be replayed bit-for-bit anywhere.
+label without an entry maps to itself, and ``trim_spans`` strips
+function words from span starts. After renaming, ``merge_shuffle``
+pools the items of several datasets (the ``merge`` command pools block
+texts, see ``corpus.parse_blocks``) and shuffles them with a pinned,
+documented PRNG, so a merge can be replayed bit-for-bit anywhere.
 """
 
 from __future__ import annotations
@@ -126,24 +128,32 @@ def trim_spans(ds: Dataset, leading_tokens) -> Dataset:
     Converted annotation schemes sometimes include lead-ins such as "for"
     or "at" inside a span; this hook removes them. Matching is
     case-insensitive, a span whose tokens are all stripped is dropped,
-    and tag sequences are repaired before extraction so unclean input
-    does not abort the cleanup. An utterance with no span-initial drop
-    word keeps its repaired tags; one that this leaves unchanged is
-    passed through as it is.
+    and tag sequences are repaired first so unclean input does not abort
+    the cleanup. The repaired tags are rewritten in one pass: at a B tag
+    on a drop word, the chunk's leading drop words become O and its first
+    kept token opens it. Each distinct token is lowercased once. An
+    utterance with no span-initial drop word keeps its repaired tags; one
+    that this leaves unchanged is passed through as it is.
     """
     drop = {t.lower() for t in leading_tokens}
+    dropped = {tok for tok in set().union(*(utt.tokens for utt in ds)) if tok.lower() in drop}
     out = []
     for utt in ds:
         tags = bio.repair(utt.slot_tags)
-        if any(tag[0] == "B" and tok.lower() in drop for tok, tag in zip(utt.tokens, tags)):
-            kept = []
-            for span in bio.spans_from_tags(tags):
-                start = span.start
-                while start < span.end and utt.tokens[start].lower() in drop:
-                    start += 1
-                if start < span.end:
-                    kept.append(bio.SlotSpan(start, span.end, span.label))
-            tags = bio.tags_from_spans(kept, len(utt.tokens))
+        tokens = utt.tokens
+        if not dropped.isdisjoint(tokens):
+            for pos, tag in enumerate(tags):
+                if tag[0] != "B" or tokens[pos] not in dropped:
+                    continue
+                inside = "I" + tag[1:]  # in a repaired sequence, the chunk's other tags
+                tags[pos] = "O"
+                for k in range(pos + 1, len(tags)):
+                    if tags[k] != inside:
+                        break
+                    if tokens[k] not in dropped:
+                        tags[k] = tag  # the first kept token opens the chunk
+                        break
+                    tags[k] = "O"
         tags = tuple(tags)
         out.append(
             utt if tags == utt.slot_tags
@@ -182,14 +192,15 @@ def seeded_permutation(n: int, seed: int) -> list[int]:
     return order
 
 
-def merge_shuffle(datasets, seed: int) -> Dataset:
-    """Concatenate datasets and shuffle utterances with the seeded PRNG.
+def merge_shuffle(pools, seed: int) -> list:
+    """Concatenate the items of the pools and shuffle them with the seeded PRNG.
 
-    Duplicates survive; the result size is the sum of the input sizes.
+    A pool is any iterable: a Dataset of utterances, or the block texts
+    of ``corpus.parse_blocks``; nothing about an item is read. Duplicates
+    survive; the result, a list, holds as many items as the pools.
     """
-    datasets = list(datasets)
-    if not datasets:
+    pools = list(pools)
+    if not pools:
         raise StructuralError("merge_shuffle needs at least one dataset")
-    pooled = [utt for ds in datasets for utt in ds]
-    order = seeded_permutation(len(pooled), seed)
-    return Dataset(tuple(pooled[i] for i in order))
+    pooled = [item for pool in pools for item in pool]
+    return [pooled[i] for i in seeded_permutation(len(pooled), seed)]

@@ -609,7 +609,9 @@ def save_model(model: TaggerModel, path) -> None:
         handle.write('{"config": ' + json.dumps(asdict(model.config), sort_keys=True))
         handle.write(f', "format_version": {json.dumps(CHECKPOINT_VERSION)}, "params": ')
         _write_params(handle, model.params)
-        handle.write(', "vocab": ' + json.dumps(asdict(model.vocab), sort_keys=True) + "}\n")
+        # the vocab's tuples as they are: asdict() would deep-copy every token
+        vocab = {f.name: getattr(model.vocab, f.name) for f in fields(Vocab)}
+        handle.write(', "vocab": ' + json.dumps(vocab, sort_keys=True) + "}\n")
 
 
 _B64_PIECE = 3 << 16  # bytes per base64 call; a multiple of 3, so the pieces join exactly

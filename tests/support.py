@@ -20,7 +20,9 @@ from statistics import NormalDist
 import numpy as np
 
 import slukit
-from slukit.bio import IssueKind, check_tags, parse_tag
+from slukit.bio import (
+    IssueKind, SlotSpan, check_tags, parse_tag, repair, spans_from_tags, tags_from_spans,
+)
 from slukit.corpus import Dataset, Utterance
 from slukit.errors import ParseError, StructuralError
 from slukit.significance import AsoResult
@@ -302,6 +304,38 @@ def _line_parse_block(lines: list[tuple[int, str]]) -> Utterance:
     row = Utterance(utt_id, utt_text, tuple(tokens), tuple(tags), intent)
     Dataset((row,))  # checks the row
     return row
+
+
+# ------------------------------------------------------------ trim oracle
+
+
+def span_trim_spans(ds: Dataset, leading_tokens) -> Dataset:
+    """Trim spans through the span list: the package's earlier ``trim_spans``.
+
+    It repairs every sequence, extracts its spans, moves each span's start
+    past its leading drop words (case-insensitive), drops a span left
+    empty and renders the rest as tags again. The package rewrites the
+    repaired tags in one pass instead; this is the reference it is held to.
+    """
+    drop = {t.lower() for t in leading_tokens}
+    out = []
+    for utt in ds:
+        tags = repair(utt.slot_tags)
+        if any(tag[0] == "B" and tok.lower() in drop for tok, tag in zip(utt.tokens, tags)):
+            kept = []
+            for span in spans_from_tags(tags):
+                start = span.start
+                while start < span.end and utt.tokens[start].lower() in drop:
+                    start += 1
+                if start < span.end:
+                    kept.append(SlotSpan(start, span.end, span.label))
+            tags = tags_from_spans(kept, len(utt.tokens))
+        tags = tuple(tags)
+        out.append(
+            utt if tags == utt.slot_tags
+            else Utterance(utt.id, utt.text, utt.tokens, tags, utt.intent)
+        )
+    return Dataset(tuple(out))
 
 
 # ------------------------------------------------------------- toy corpora

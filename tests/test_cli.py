@@ -278,6 +278,27 @@ class TestHomogenizeMerge:
         expected = homogenize.merge_shuffle([a, b], seed=5)
         got = corpus.parse_dataset((workdir / "merged.txt").read_text())
         assert [u.id for u in got] == [u.id for u in expected]
+        merged = (workdir / "merged.txt").read_text()
+        assert merged == corpus.write_dataset(corpus.Dataset(expected))
+
+    def test_merge_builds_no_dataset_from_valid_inputs(self, workdir, capsys, monkeypatch):
+        """Valid inputs are shuffled as block texts; only a refused one reaches parse_dataset."""
+        (workdir / "a.txt").write_text(CLEAN)
+        (workdir / "b.txt").write_text(DIRTY)
+        (workdir / "bad.txt").write_text(BAD_DATA)
+        parsed = []
+        parse = corpus.parse_dataset
+
+        def recorded(text):
+            parsed.append(text)
+            return parse(text)
+
+        monkeypatch.setattr(corpus, "parse_dataset", recorded)
+        assert cli.run(["merge", "a.txt", "b.txt", "--out", "m.txt", "--seed", "5"]) == 0
+        assert parsed == []
+        assert cli.run(["merge", "a.txt", "bad.txt", "--out", "n.txt", "--seed", "5"]) == 1
+        assert capsys.readouterr().err == f"error: bad.txt: {BAD_ROW}\n"
+        assert parsed == [BAD_DATA]
 
 
 class TestSchedule:

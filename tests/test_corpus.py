@@ -26,6 +26,18 @@ SAMPLE = (
     "1\thello\tO\n"
 )
 THIRD = "# id: u3\n# text: good night\n# intent: none\n1\tgood\tO\n2\tnight\tO\n"
+BLOCK_SHAPE_ERRORS = [
+    pytest.param(SAMPLE.replace("\n\n", "\n"), ParseError,
+                 "line 8: expected 3 tab-separated columns, got 1", id="no_blank_line"),
+    pytest.param(SAMPLE + "\n" + THIRD.replace("2\tnight", "3\tnight") + "\n" + SAMPLE,
+                 StructuralError, "line 18: token index 3, expected 2", id="middle_block_index"),
+    pytest.param("x\n\n" + SAMPLE, StructuralError, "line 1: incomplete utterance block",
+                 id="leading_junk"),
+    pytest.param(SAMPLE + "junk\n", ParseError,
+                 "line 13: expected 3 tab-separated columns, got 1", id="trailing_row"),
+    pytest.param(SAMPLE + "\njunk\n", StructuralError, "line 14: incomplete utterance block",
+                 id="trailing_block"),
+]
 
 
 def _one_row(*fields):
@@ -325,15 +337,7 @@ class TestParse:
     def test_blank_lines_parse_to_the_canonical_dataset(self, padded):
         assert corpus.parse_dataset(padded) == corpus.parse_dataset(SAMPLE)
 
-    @pytest.mark.parametrize("text,error,message", [
-        (SAMPLE.replace("\n\n", "\n"), ParseError,
-         "line 8: expected 3 tab-separated columns, got 1"),  # no blank line between blocks
-        (SAMPLE + "\n" + THIRD.replace("2\tnight", "3\tnight") + "\n" + SAMPLE,
-         StructuralError, "line 18: token index 3, expected 2"),  # a middle block
-        ("x\n\n" + SAMPLE, StructuralError, "line 1: incomplete utterance block"),
-        (SAMPLE + "junk\n", ParseError, "line 13: expected 3 tab-separated columns, got 1"),
-        (SAMPLE + "\njunk\n", StructuralError, "line 14: incomplete utterance block"),
-    ], ids=["no_blank_line", "middle_block_index", "leading_junk", "trailing_row", "trailing_block"])
+    @pytest.mark.parametrize("text,error,message", BLOCK_SHAPE_ERRORS)
     def test_block_shape_errors(self, text, error, message):
         with pytest.raises(error) as err:
             corpus.parse_dataset(text)
@@ -357,8 +361,11 @@ GARBLE = st.sampled_from([b"\n", b"\n\n", b"\t", b"\r", b"#", b" ", b"0", b"1", 
                           b"_", "\u0661".encode(), b"B-", b"I-", b"# id: ", b"# intent: ", b""])
 
 
+KINDS = ("canonical", "blank", "crlf", "crlf_normalised", "garbled", "moved_tab")
+
+
 @st.composite
-def block_text(draw) -> str:
+def block_text(draw, kinds=KINDS) -> str:
     """Canonical block text, then padded, CRLF-edited, garbled or with a tab moved."""
     utts = []
     for k in range(draw(st.integers(0, 4))):
@@ -367,8 +374,7 @@ def block_text(draw) -> str:
         tags = draw(st.lists(TAGS, min_size=n, max_size=n))
         utts.append(corpus.Utterance(f"u{k}", " ".join(tokens), tokens, tags, "i"))
     text = corpus.write_dataset(corpus.Dataset(utts))
-    kind = draw(st.sampled_from(
-        ["canonical", "blank", "crlf", "crlf_normalised", "garbled", "moved_tab"]))
+    kind = draw(st.sampled_from(kinds))
     if kind == "blank":
         text = "\n" * draw(st.integers(0, 2)) + text.replace("\n\n", "\n" * draw(
             st.integers(2, 4))) + "\n" * draw(st.integers(0, 2))
@@ -404,6 +410,67 @@ def _outcome(parse, text):
 def test_bulk_parser_agrees_with_line_oracle(text):
     """parse_dataset returns what the line-by-line walk returns, or raises its error."""
     assert _outcome(corpus.parse_dataset, text) == _outcome(line_parse_dataset, text)
+
+
+# The malformed texts of the parse tests above, each of which parse_dataset refuses.
+MALFORMED = {p.id: p.values[0] for p in BLOCK_SHAPE_ERRORS} | {
+    "header_order": SAMPLE.replace("# text: wake me at eight\n# intent: alarm/set",
+                                   "# intent: alarm/set\n# text: wake me at eight"),
+    "incomplete": "# id: u1\n# text: x\n",
+    "no_token_lines": "# id: u1\n# text: x\n# intent: none\n",
+    "two_columns": SAMPLE.replace("1\twake\tO", "1\twake"),
+    "index_gap": SAMPLE.replace("2\tme\tO", "3\tme\tO"),
+    "index_raw_column": SAMPLE.replace("2\tme\tO", "1_1\tme\tO"),
+    **{f"index_{k}": SAMPLE.replace("1\twake\tO", f"{index}\twake\tO")
+       for k, index in enumerate(["01", "+1", " 1", "1 ", "\u0661", "", "x", "1.0", "one"])},
+    "blank_lines_counted": ("\n\n" + SAMPLE.replace("\n\n", "\n\n\n\n")).replace(
+        "1\thello\tO", "1\thello"),
+    "shifted_column": "# id: u\n# text: x y\n# intent: i\n1\tx\tO\t2\ny\tO\n",
+    "header_only": SAMPLE.replace("\n1\thello\tO", ""),
+    "malformed_tag": SAMPLE.replace("3\tat\tB-datetime", "3\tat\tB-"),
+    "bad_row_then_bad_header": SAMPLE.replace("3\tat\tB-datetime", "3\tat\tB-")
+    + "\n# id: u3\n# intent: none\n# text: x\n1\tx\tO\n",
+    "bad_header": SAMPLE + "\n# id: u3\n# intent: none\n# text: x\n1\tx\tO\n",
+    "bad_row_then_empty_block": SAMPLE.replace("4\teight\tI-datetime", "4\teight\tI-")
+    + "\n# id: u3\n# text: x\n# intent: none\n",
+}
+
+
+def _blocks_written(text):
+    return corpus.write_blocks(corpus.parse_blocks(text))
+
+
+def _dataset_written(text):
+    return corpus.write_dataset(corpus.parse_dataset(text))
+
+
+class TestParseBlocks:
+    """parse_blocks keeps parse_dataset's blocks as text, and refuses what it refuses."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(block_text(kinds=("canonical", "blank", "crlf_normalised")))
+    def test_valid_text_written_back_as_write_dataset_writes_it(self, text):
+        assert _blocks_written(text) == _dataset_written(text)
+
+    @pytest.mark.parametrize("text", ["", "\n", "\n\n\n"])
+    def test_blank_text_has_no_blocks(self, text):
+        assert corpus.parse_blocks(text) == []
+        assert _blocks_written(text) == "" == _dataset_written(text)
+
+    def test_blocks_are_the_canonical_block_texts(self):
+        blocks = corpus.parse_blocks("\n" + SAMPLE.replace("\n\n", "\n\n\n") + "\n\n")
+        assert blocks == SAMPLE.rstrip("\n").split("\n\n")
+
+    @pytest.mark.parametrize("text", MALFORMED.values(), ids=MALFORMED.keys())
+    def test_malformed_text_raises_as_parse_dataset(self, text):
+        error = _outcome(corpus.parse_dataset, text)
+        assert isinstance(error, tuple)  # a malformed text, which parse_dataset refuses
+        assert _outcome(corpus.parse_blocks, text) == error
+
+    @settings(max_examples=300, deadline=None)
+    @given(block_text())
+    def test_any_text_has_parse_dataset_outcome(self, text):
+        assert _outcome(_blocks_written, text) == _outcome(_dataset_written, text)
 
 
 class TestValidate:

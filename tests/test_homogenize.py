@@ -3,12 +3,14 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from slukit import bio, corpus, homogenize
 from slukit.corpus import Dataset, Utterance
 from slukit.errors import ParseError, StructuralError
 
-from support import make_dataset
+from support import make_dataset, span_trim_spans
 
 MAP_TEXT = (
     "# rename onto the shared schema\n"
@@ -163,6 +165,39 @@ class TestTrimSpans:
         out = homogenize.trim_spans(ds, ["at"])
         assert out.utterances[0].slot_tags == ("O", "B-t")
 
+    def test_adjacent_same_label_chunks_trimmed_apart(self):
+        # the second chunk opens with its own B; trimming the first stops there
+        ds = self._utt(("at", "at", "for", "x"), ("B-t", "B-t", "I-t", "I-t"))
+        out = homogenize.trim_spans(ds, ["at", "for"])
+        assert out.utterances[0].slot_tags == ("O", "O", "O", "B-t")
+
+
+# Drop words in several cases, and tags that break BIO in every way repair mends.
+TRIM_TOKENS = st.sampled_from(["at", "At", "AT", "for", "FOR", "x", "y", "Ät", "ät"])
+TRIM_TAGS = st.sampled_from(["O", "B-a", "I-a", "B-b", "I-b"])
+
+
+@st.composite
+def trim_case(draw):
+    rows = []
+    for k in range(draw(st.integers(0, 6))):
+        n = draw(st.integers(1, 8))
+        tokens = tuple(draw(st.lists(TRIM_TOKENS, min_size=n, max_size=n)))
+        tags = tuple(draw(st.lists(TRIM_TAGS, min_size=n, max_size=n)))
+        rows.append(Utterance(f"u{k}", " ".join(tokens), tokens, tags, "i"))
+    words = draw(st.lists(st.sampled_from(["at", "AT", "For", "x", "ÄT", "zz"]), max_size=3))
+    return Dataset(tuple(rows)), words
+
+
+@settings(max_examples=300, deadline=None)
+@given(trim_case())
+def test_one_pass_trim_matches_the_span_trim(case):
+    """The one-pass rewrite gives the span-list trim's rows, passing unchanged ones through."""
+    ds, words = case
+    got, want = homogenize.trim_spans(ds, words), span_trim_spans(ds, words)
+    assert got == want
+    assert [g is u for g, u in zip(got, ds)] == [w is u for w, u in zip(want, ds)]
+
 
 class TestSeededPermutation:
     def test_known_answer_outputs(self):
@@ -212,8 +247,8 @@ class TestMergeShuffle:
 
     def test_bit_reproducible(self):
         a, b = self._two()
-        one = corpus.write_dataset(homogenize.merge_shuffle([a, b], seed=9))
-        two = corpus.write_dataset(homogenize.merge_shuffle([a, b], seed=9))
+        one = corpus.write_dataset(Dataset(homogenize.merge_shuffle([a, b], seed=9)))
+        two = corpus.write_dataset(Dataset(homogenize.merge_shuffle([a, b], seed=9)))
         assert one == two
 
     def test_seed_changes_order(self):
