@@ -36,7 +36,7 @@ import csv
 import io
 import re
 from dataclasses import dataclass, field
-from typing import Iterator, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 from . import bio
 from .errors import ParseError, StructuralError
@@ -166,19 +166,16 @@ class Issue:
     kind: bio.IssueKind
 
 
-class _Refused(Exception):
-    """Raised by ``_scan`` at the first block it refuses; holds that block's match."""
-
-
-def _scan(text: str):
-    """Yield ``(match, cells)`` for each block of ``text``, in order: the one bulk scan.
+def _scan(text: str, keep: Callable[[re.Match, list[str]], None]) -> re.Match | None:
+    """The one bulk scan of the block format; returns the block it refuses, if any.
 
     Each block is matched whole by one pattern, the matches must tile the
     text up to blank lines, and a block's index cells must read 1..n.
-    ``cells`` is the block's rows split into their cells, three per row.
-    At the first block this refuses, or nonblank text after the last
-    block, it raises ``_Refused`` with a ``_BLOCK_RE`` match of it. Tags
-    are not checked here.
+    Each block accepted is handed on at once, in order, as
+    ``keep(match, cells)``, where ``cells`` is the block's rows split into
+    their cells, three per row. The result is a ``_BLOCK_RE`` match of the
+    first block refused, or of nonblank text after the last block, and
+    None when the whole text is accepted. Tags are not checked here.
     """
     end = 0
     for match in _UTTERANCE_RE.finditer(text):
@@ -187,11 +184,9 @@ def _scan(text: str):
         cells = match[4].replace("\n", "\t").split("\t")
         if cells[0::3] != _indices(len(cells) // 3):
             break
-        yield match, cells
+        keep(match, cells)
         end = match.end()
-    block = _BLOCK_RE.search(text, end)
-    if block:
-        raise _Refused(block)
+    return _BLOCK_RE.search(text, end)
 
 
 def parse_dataset(text: str) -> Dataset:
@@ -207,18 +202,19 @@ def parse_dataset(text: str) -> Dataset:
     """
     utterances = []
     canonical = {}.setdefault  # one object per distinct value: the rows hold no copies
-    try:
-        for match, cells in _scan(text):
-            tokens, tags, intent = cells[1::3], cells[2::3], match[3]
-            utterances.append(Utterance(
-                match[1], match[2], tuple(map(canonical, tokens, tokens)),
-                tuple(map(canonical, tags, tags)), canonical(intent, intent),
-            ))
-    except _Refused as refused:
+
+    def keep(match, cells):
+        tokens, tags, intent = cells[1::3], cells[2::3], match[3]
+        utterances.append(Utterance(
+            match[1], match[2], tuple(map(canonical, tokens, tokens)),
+            tuple(map(canonical, tags, tags)), canonical(intent, intent),
+        ))
+
+    refused = _scan(text, keep)
+    if refused:
         Dataset(utterances)  # a bad row in an earlier block is reported first
-        block = refused.args[0]
-        first = text.count("\n", 0, block.start()) + 1
-        _block_error(list(enumerate(block.group().split("\n"), start=first)))
+        first = text.count("\n", 0, refused.start()) + 1
+        _block_error(list(enumerate(refused.group().split("\n"), start=first)))
     return Dataset(tuple(utterances))
 
 
@@ -233,15 +229,20 @@ def parse_blocks(text: str) -> list[str]:
     to parse_dataset, which raises the error it raises today.
     """
     blocks, tags = [], set()
-    try:
-        for match, cells in _scan(text):
-            tags.update(cells[2::3])
-            blocks.append(text[match.start(1) - len(_ID):match.end()])
-        bio.check_tags(tags)
-    except (_Refused, StructuralError):
-        parse_dataset(text)  # raises the error, with its line or utterance id
-        raise AssertionError("parse_blocks refused a text that parse_dataset accepts") from None
-    return blocks
+
+    def keep(match, cells):
+        tags.update(cells[2::3])
+        blocks.append(text[match.start(1) - len(_ID):match.end()])
+
+    if not _scan(text, keep):
+        try:
+            bio.check_tags(tags)
+        except StructuralError:
+            pass
+        else:
+            return blocks
+    parse_dataset(text)  # raises the error, with its line number or utterance id
+    raise AssertionError("parse_blocks refused a text that parse_dataset accepts")
 
 
 def _indices(n: int) -> list[str]:
