@@ -1,8 +1,8 @@
 """Command line entry point wiring the toolkit into file-based pipelines.
 
-``run`` does all file I/O. It checks every output path first (no two
-on one file, parent made, a directory rejected), so a bad path fails
-before any work. Each ``_cmd_*`` handler reads an input through
+``run`` does all file I/O. It checks every output path first (none
+empty, no two on one file, parent made, a directory rejected), so a bad
+path fails before any work. Each ``_cmd_*`` handler reads an input through
 ``_load`` (or ``_read_text``), which records the sha256 of the exact
 bytes it parsed and prefixes an error in them with the path as given,
 and returns ``(outputs, extras)``: per output flag, text or a function
@@ -415,7 +415,11 @@ def build_parser() -> argparse.ArgumentParser:
 def run(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        targets = {f: Path(getattr(args, f)) for f in OUT_FLAGS if getattr(args, f, None)}
+        given = {f: getattr(args, f) for f in OUT_FLAGS if getattr(args, f, None) is not None}
+        for flag, value in given.items():
+            if not value:
+                raise ToolkitError(f"--{flag}: empty output path")
+        targets = {f: Path(value) for f, value in given.items()}
         primary = targets.get("out") or Path(args._command)
         manifest = primary.with_name(primary.name + ".manifest.json")
         roles = {f"--{flag}": path for flag, path in targets.items()} | {"the manifest": manifest}

@@ -63,9 +63,14 @@ def _scores(hits_pred: int, n_pred: int, hits_gold: int, n_gold: int) -> MicroSc
 
 
 def _aligned_spans(gold: Dataset, pred: Dataset):
-    """Pair up the span lists of equal-length gold and pred, repairing pred tags first."""
+    """Pair up the span lists of equal-length gold and pred, repairing pred tags first.
+
+    Pairs are made by position, so each pair must also share its id.
+    """
     pairs = []
     for k, (g, p) in enumerate(zip(gold, pred)):
+        if g.id != p.id:
+            raise AlignmentError(f"utterance {k}: gold id {g.id!r}, pred id {p.id!r}")
         if len(g.tokens) != len(p.tokens):
             raise AlignmentError(
                 f"utterance {k} (id {g.id!r}): gold has {len(g.tokens)} tokens, "

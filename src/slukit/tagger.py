@@ -10,14 +10,14 @@ scores it against every embedding row. Task losses are mean
 cross-entropies combined as a weighted sum; decoding is greedy argmax
 with the tag sequence repaired into valid BIO.
 
-Training and prediction share one engine: a batch of sequences is padded
-to [B, T] with <pad>, the input projections are one matmul per direction,
-and the recurrence and its backpropagation run in [B, h] steps, with the
-weight gradients formed as matmuls after the time loop. An SGD step
-touches only the tensors its batch used: the heads of the tasks present
-and the embedding rows of the ids present, or, in a batch with
-masked-token targets, the whole embedding, since the tied head reads
-every row.
+Training and prediction share one engine: `encode` pads a batch to
+[B, T] with <pad>, projects the inputs with one matmul per direction and
+runs the recurrence in [B, h] steps, and both the training loss and
+`predict` call it. Backpropagation runs in the same steps, with weight
+gradients formed as matmuls after the time loop. An SGD step touches
+only the tensors its batch used: the heads of the tasks present and the
+embedding rows of the ids present, or, in a batch with masked-token
+targets, the whole embedding, since the tied head reads every row.
 
 Everything runs in float64 numpy with hand-written backpropagation and
 plain fixed-rate SGD, so training is bit-reproducible for a given seed
@@ -204,7 +204,7 @@ class _Cache(NamedTuple):
     lengths: np.ndarray  # [B]
 
 
-def _forward(params: ModelParams, id_lists) -> tuple[np.ndarray, np.ndarray, _Cache]:
+def encode(params: ModelParams, id_lists) -> tuple[np.ndarray, np.ndarray, _Cache]:
     """Encode a batch of id sequences in one padded [B, T] pass.
 
     Rows are padded with PAD_ID to the longest length T. Both directions
@@ -297,12 +297,6 @@ def _backward(cache: _Cache, d_token_states, d_sent) -> tuple[dict[str, np.ndarr
     return grads, emb_rows
 
 
-def encode(params: ModelParams, token_ids) -> tuple[np.ndarray, np.ndarray]:
-    """Run the encoder; returns per-token states [n, 2h] and the sentence vector [2h]."""
-    token_states, sent, _ = _forward(params, [list(token_ids)])
-    return token_states[0], sent[0]
-
-
 class Example(NamedTuple):
     """One training sequence; any subset of the supervision fields may be set.
 
@@ -335,12 +329,6 @@ def _ce_rows(logits: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.nd
     return losses, grads
 
 
-def _logits(params: ModelParams, task: str, feats: np.ndarray) -> np.ndarray:
-    out = feats @ params[f"w_{task}"]
-    out += params[f"b_{task}"]
-    return out
-
-
 def _loss_and_grads(params, batch, config):
     """Returns (loss, gradients, embedding rows, per-task mean CE dict).
 
@@ -363,7 +351,7 @@ def _loss_and_grads(params, batch, config):
     if not intents and not has_slots.any() and not mlm_units:
         raise StructuralError("batch carries no task labels")
 
-    token_states, sent, cache = _forward(params, [ex.token_ids for ex in batch])
+    token_states, sent, cache = encode(params, [ex.token_ids for ex in batch])
     d_token_states = np.zeros_like(token_states)
     d_sent = np.zeros_like(sent)
     intent_rows, intent_ids = np.array(intents, dtype=np.intp).reshape(-1, 2).T
@@ -386,12 +374,9 @@ def _loss_and_grads(params, batch, config):
             continue
         feats = all_feats[units]
         w = params[f"w_{task}"]
-        if task == "mlm":  # tied: the logits are proj @ emb.T + b
-            proj = feats @ w
-            logits = proj @ params["emb"].T
-            logits += params["b_mlm"]
-        else:
-            logits = _logits(params, task, feats)
+        proj = feats @ w
+        logits = proj @ params["emb"].T if task == "mlm" else proj  # mlm is tied to emb
+        logits += params[f"b_{task}"]
         losses, scaled = _ce_rows(logits, targets)
         weight = getattr(config, f"w_{task}")
         parts[task] = float(losses.sum()) / targets.size
@@ -401,11 +386,10 @@ def _loss_and_grads(params, batch, config):
         if task == "mlm":
             d_proj = scaled @ params["emb"]
             tied_emb = scaled.T @ proj
-            grads["w_mlm"] = feats.T @ d_proj
-            d_feats[units] += d_proj @ w.T
         else:
-            grads[f"w_{task}"] = feats.T @ scaled
-            d_feats[units] += scaled @ w.T
+            d_proj = scaled
+        grads[f"w_{task}"] = feats.T @ d_proj
+        d_feats[units] += d_proj @ w.T
 
     encoder_grads, emb_rows = _backward(cache, d_token_states, d_sent)
     if tied_emb is not None:
@@ -510,15 +494,15 @@ def train(
             task_sums = dict.fromkeys(HEADS, 0.0)
             task_batches = dict.fromkeys(HEADS, 0)
             for batch_index, (task, _) in enumerate(schedule.draws):
+                pool = slu_examples if task == SLU_TASK else mlm_ids
+                picks = cyclers[task].next_batch(min(config.batch_size, len(pool)))
                 if task == SLU_TASK:
-                    picks = cyclers[SLU_TASK].next_batch(min(config.batch_size, len(slu_examples)))
-                    batch = [slu_examples[i] for i in picks]
+                    batch = [pool[i] for i in picks]
                 else:
-                    picks = cyclers[MLM_TASK].next_batch(min(config.batch_size, len(mlm_ids)))
                     batch = []
                     for i in picks:
                         corrupted, targets = mask_tokens(
-                            mlm_ids[i], config.mask_rate, master.randrange(2 ** 32),
+                            pool[i], config.mask_rate, master.randrange(2 ** 32),
                             len(vocab.tokens),
                         )
                         if targets:
@@ -549,20 +533,15 @@ def train(
     return TaggerModel(config, vocab, params), log
 
 
-def predict(model: TaggerModel, tokens) -> tuple[str, list[str]]:
-    """Greedy decode: argmax intent and per-token tags, repaired into valid BIO."""
-    toks = list(tokens)
-    if not toks:
-        raise StructuralError("cannot predict on an empty token list")
-    return _decode(model, [model.vocab.encode_tokens(toks)])[0]
-
-
-def _decode(model: TaggerModel, id_lists) -> list[tuple[str, list[str]]]:
-    """Greedy decode of a batch of id sequences in one padded forward."""
+def predict(model: TaggerModel, id_lists) -> list[tuple[str, list[str]]]:
+    """Greedy decode of a batch of id sequences: argmax intent and tags, repaired into valid BIO."""
     params = model.params
-    token_states, sent, cache = _forward(params, id_lists)
-    intents = np.argmax(_logits(params, "intent", sent), axis=1).tolist()
-    slot_logits = _logits(params, "slot", token_states[cache.valid])
+    token_states, sent, cache = encode(params, id_lists)
+    intent_logits = sent @ params["w_intent"]
+    intent_logits += params["b_intent"]
+    slot_logits = token_states[cache.valid] @ params["w_slot"]
+    slot_logits += params["b_slot"]
+    intents = np.argmax(intent_logits, axis=1).tolist()
     tags = [model.vocab.slot_tags[k] for k in np.argmax(slot_logits, axis=1).tolist()]
     out = []
     start = 0
@@ -584,7 +563,7 @@ def predict_dataset(model: TaggerModel, data: Dataset) -> Dataset:
     decoded: list = [None] * len(ids)
     for start in range(0, len(order), PREDICT_CHUNK):
         chunk = order[start : start + PREDICT_CHUNK]
-        for i, result in zip(chunk, _decode(model, [ids[i] for i in chunk])):
+        for i, result in zip(chunk, predict(model, [ids[i] for i in chunk])):
             decoded[i] = result
     out = tuple(
         Utterance(utt.id, utt.text, utt.tokens, tuple(tags), intent)
@@ -660,14 +639,10 @@ def loads_model(text: str) -> TaggerModel:
         payload = json.loads(text)
     except ValueError as err:
         raise StructuralError(f"not a JSON checkpoint: {err}") from None
-    return _model_from_payload(payload)
-
-
-def _model_from_payload(payload) -> TaggerModel:
     if not isinstance(payload, dict):
         raise StructuralError("not a JSON checkpoint object")
     version = payload.get("format_version")
-    if version != CHECKPOINT_VERSION:
+    if type(version) is not int or version != CHECKPOINT_VERSION:  # not 3.0
         raise StructuralError(
             f"unsupported checkpoint version {version!r} "
             f"(this slukit reads {CHECKPOINT_VERSION}; retrain)"

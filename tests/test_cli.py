@@ -169,6 +169,16 @@ class TestEvaluate:
         assert set(manifest["inputs"]) == {"gold.txt", "pred.txt"}
         assert manifest["config"]["gold"] == "gold.txt"
 
+    def test_pred_ids_must_match_gold(self, workdir, capsys):
+        # equal tokens and tags, so only the ids tell that the files differ
+        (workdir / "gold.txt").write_text(CLEAN)
+        (workdir / "pred.txt").write_text(CLEAN.replace("# id: u1", "# id: zz"))
+        listing = sorted(os.listdir(workdir))
+        assert cli.run(["evaluate", "--gold", "gold.txt", "--pred", "pred.txt",
+                        "--json", "report.json"]) == 1
+        assert capsys.readouterr().err == "error: utterance 0: gold id 'u1', pred id 'zz'\n"
+        assert sorted(os.listdir(workdir)) == listing
+
     def test_module_error_is_exit_one(self, workdir, capsys):
         (workdir / "gold.txt").write_text(DIRTY)  # invalid gold BIO
         (workdir / "pred.txt").write_text(DIRTY)
@@ -912,6 +922,26 @@ class TestOutputsCheckedFirst:
             "--out", "blocker/x.txt",
         ]) == 1
         assert "error: cannot write blocker/x.txt" in capsys.readouterr().err
+        assert sorted(os.listdir(workdir)) == listing
+
+    @pytest.mark.parametrize("argv,flag,stage", [
+        (["homogenize", "--in", "data.txt", "--map", "map.txt", "--out", ""], "--out",
+         (homogenize, "apply_label_map")),
+        (["evaluate", "--gold", "data.txt", "--pred", "data.txt", "--json", ""], "--json",
+         (metrics, "strict_f1")),
+        (["evaluate", "--gold", "data.txt", "--pred", "data.txt", "--out", "r.txt",
+          "--json", ""], "--json", (metrics, "strict_f1")),
+        (["train", "--train", "data.txt", "--out", "", "--seed", "0"], "--out",
+         (tagger, "train")),
+    ])
+    def test_empty_output_path(self, workdir, capsys, monkeypatch, argv, flag, stage):
+        # an empty path used to drop the output and exit 0 with only a manifest
+        (workdir / "data.txt").write_text(CLEAN)
+        (workdir / "map.txt").write_text("[slots]\ndatetime\ttime\n")
+        listing = sorted(os.listdir(workdir))
+        monkeypatch.setattr(*stage, _never_called)
+        assert cli.run(argv) == 1
+        assert capsys.readouterr().err == f"error: {flag}: empty output path\n"
         assert sorted(os.listdir(workdir)) == listing
 
     @pytest.mark.parametrize("flags,message", [

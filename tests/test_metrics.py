@@ -7,6 +7,7 @@ import pytest
 import scipy.stats
 
 from slukit import metrics
+from slukit.corpus import Dataset
 from slukit.errors import AlignmentError, StructuralError
 
 from support import make_dataset, oracle_strict_micro, random_valid_tags
@@ -79,6 +80,15 @@ class TestStrict:
     def test_token_count_mismatch(self):
         gold, pred = _pair([["O", "O"]], [["O"]])
         with pytest.raises(AlignmentError, match="id 'u0'"):
+            metrics.strict_f1(gold, pred)
+
+    def test_id_mismatch(self):
+        # equal tags at every position, but the second pair is not the same utterance
+        seqs = [["B-a", "O"], ["O", "B-b"]]
+        gold = make_dataset(seqs)
+        first, second = gold.utterances
+        pred = Dataset((first, second._replace(id="zz")))
+        with pytest.raises(AlignmentError, match=r"^utterance 1: gold id 'u1', pred id 'zz'$"):
             metrics.strict_f1(gold, pred)
 
 

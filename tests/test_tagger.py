@@ -203,21 +203,25 @@ class TestConfigAndParams:
 class TestEncoder:
     def test_state_shapes(self):
         params = tagger.init_params(small_config(), small_vocab())
-        states, sent = tagger.encode(params, [4, 5, 6])
-        assert states.shape == (3, 8)
-        assert sent.shape == (8,)
-        assert np.array_equal(sent[:4], states[2, :4])
-        assert np.array_equal(sent[4:], states[0, 4:])
+        states, sent, cache = tagger.encode(params, [[4, 5, 6], [7, 4]])
+        assert states.shape == (2, 3, 8)
+        assert sent.shape == (2, 8)
+        assert cache.lengths.tolist() == [3, 2]
+        assert np.array_equal(sent[0, :4], states[0, 2, :4])
+        assert np.array_equal(sent[0, 4:], states[0, 0, 4:])
+        assert np.array_equal(sent[1, :4], states[1, 1, :4])
+        assert np.array_equal(sent[1, 4:], states[1, 0, 4:])
 
     def test_empty_sequence(self):
         params = tagger.init_params(small_config(), small_vocab())
-        with pytest.raises(StructuralError, match="empty"):
-            tagger.encode(params, [])
+        for id_lists in ([], [[]], [[4, 5], []]):
+            with pytest.raises(StructuralError, match="empty"):
+                tagger.encode(params, id_lists)
 
     def test_out_of_range_id(self):
         params = tagger.init_params(small_config(), small_vocab())
         with pytest.raises(StructuralError, match="out of range"):
-            tagger.encode(params, [99])
+            tagger.encode(params, [[4], [99]])
 
     def test_reversal_swaps_direction_roles(self):
         # with forward and backward parameters exchanged, encoding the
@@ -227,8 +231,8 @@ class TestEncoder:
         for a, b in (("w_fwd_in", "w_bwd_in"), ("w_fwd_state", "w_bwd_state"), ("b_fwd", "b_bwd")):
             mirrored[a], mirrored[b] = params[b], params[a]
         ids = [4, 5, 6, 7, 4]
-        _, sent = tagger.encode(params, ids)
-        _, sent_rev = tagger.encode(mirrored, ids[::-1])
+        _, (sent,), _ = tagger.encode(params, [ids])
+        _, (sent_rev,), _ = tagger.encode(mirrored, [ids[::-1]])
         h = 4
         assert np.array_equal(sent_rev[:h], sent[h:])
         assert np.array_equal(sent_rev[h:], sent[:h])
@@ -240,7 +244,7 @@ class TestEncoder:
             params[name][:] = 0.0
         params["b_fwd"][:] = 0.3
         params["b_bwd"][:] = -0.2
-        states, _ = tagger.encode(params, [4, 5, 6])
+        (states,), _, _ = tagger.encode(params, [[4, 5, 6]])
         assert np.allclose(states[:, :4], math.tanh(0.3))
         assert np.allclose(states[:, 4:], math.tanh(-0.2))
 
@@ -420,8 +424,8 @@ class TestBatchedEngine:
         # so equality is up to float64 rounding rather than bitwise
         params = tagger.init_params(small_config(seed=10), small_vocab())
         ids = [6, 4, 7]
-        states, sent = tagger.encode(params, ids)
-        batch_states, batch_sent, _ = tagger._forward(
+        (states,), (sent,), _ = tagger.encode(params, [ids])
+        batch_states, batch_sent, _ = tagger.encode(
             params, [[4, 5, 6, 7, 4, 5], ids, [7, 7, 6, 5, 4]]
         )
         assert np.allclose(batch_states[1, : len(ids)], states, rtol=0, atol=1e-12)
@@ -438,7 +442,8 @@ class TestBatchedEngine:
         predicted = tagger.predict_dataset(overfit_model, Dataset(tuple(utts)))
         assert [u.id for u in predicted] == [u.id for u in utts]
         for utt, pred in zip(utts, predicted):
-            intent, tags = tagger.predict(overfit_model, utt.tokens)
+            ids = overfit_model.vocab.encode_tokens(utt.tokens)
+            [(intent, tags)] = tagger.predict(overfit_model, [ids])
             assert (pred.intent, list(pred.slot_tags)) == (intent, tags)
 
 
@@ -594,16 +599,16 @@ class TestPredict:
     def test_prediction_is_valid_bio(self, overfit_model):
         from slukit import bio
 
-        intent, tags = tagger.predict(
-            overfit_model, ["play", "song", "unseen-token", "now"]
-        )
+        ids = overfit_model.vocab.encode_tokens(["play", "song", "unseen-token", "now"])
+        [(intent, tags)] = tagger.predict(overfit_model, [ids])
         assert intent in overfit_model.vocab.intents
         assert len(tags) == 4
         assert not bio.tag_issues(tags)
 
     def test_empty_tokens(self, overfit_model):
-        with pytest.raises(StructuralError, match="empty"):
-            tagger.predict(overfit_model, [])
+        for id_lists in ([], [[]], [[4], []]):
+            with pytest.raises(StructuralError, match="empty"):
+                tagger.predict(overfit_model, id_lists)
 
 
 def resized(data: str, delta: int) -> str:
@@ -691,6 +696,22 @@ class TestCheckpoint:
         path.write_text(json.dumps(payload))
         with pytest.raises(StructuralError, match="version"):
             tagger.load_model(path)
+
+    def test_version_must_be_the_integer(self, tmp_path):
+        # 3.0 == 3 in Python, but the format names an integer version, as shapes use integers
+        model, _ = tagger.train(overfit_corpus(), small_config(epochs=1))
+        path = tmp_path / "model.json"
+        tagger.save_model(model, path)
+        text = path.read_text(encoding="utf-8")
+        assert tagger.loads_model(text).vocab == model.vocab
+        stamp = f'"format_version": {tagger.CHECKPOINT_VERSION}, '
+        assert text.count(stamp) == 1
+        for bad in ("3.0", "3e0", '"3"'):
+            with pytest.raises(StructuralError, match=re.escape(
+                f"unsupported checkpoint version {json.loads(bad)!r} "
+                f"(this slukit reads {tagger.CHECKPOINT_VERSION}; retrain)"
+            )):
+                tagger.loads_model(text.replace(stamp, f'"format_version": {bad}, '))
 
     def test_shape_tampering_detected(self, tmp_path):
         model, _ = tagger.train(overfit_corpus(), small_config(epochs=1))

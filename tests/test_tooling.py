@@ -37,15 +37,17 @@ DATA = "# id: u1\n# text: a b\n# intent: none\n1\ta\tB-x\n2\tb\tO\n"
 MAP = "[slots]\nx\ty\n"
 
 
-def _traced_counts(tracer, argv):
+def _traced(tracer, *argvs):
+    """The tracer after running each argv through ``cli.run`` as run 0."""
     trace = tracer.Tracer()
     trace.install()
     try:
         trace.begin(0)
-        assert cli.run(argv) == 0
+        for argv in argvs:
+            assert cli.run(argv) == 0
     finally:
         trace.uninstall()
-    return trace.counts[0]
+    return trace
 
 
 def test_traced_run_reads_each_input_once(tracer, tmp_path, monkeypatch):
@@ -68,11 +70,29 @@ def test_traced_run_reads_each_input_once(tracer, tmp_path, monkeypatch):
          len(DATA) + model_size),
     ]
     for argv, read in runs:
-        counts = _traced_counts(tracer, argv)
+        counts = _traced(tracer, argv).counts[0]
         assert counts["cli.bytes_read"] == read
         out = tmp_path / argv[-1]
         written = out.stat().st_size + out.with_name(out.name + ".manifest.json").stat().st_size
         assert counts["cli.bytes_written"] == written
+
+
+def test_traced_train_and_predict_time_the_engine(tracer, tmp_path, monkeypatch):
+    """``tagger.encode`` and ``tagger.predict`` are the batched paths train and predict run."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "data.txt").write_text(DATA)
+    trace = _traced(
+        tracer,
+        ["train", "--train", "data.txt", "--out", "model.json", "--seed", "0",
+         "--embed-dim", "2", "--hidden-dim", "2", "--epochs", "3"],
+        ["predict", "--model", "model.json", "--in", "data.txt", "--out", "p.txt"],
+    )
+    by_name = tracer.summarise(trace.spans)[0]
+    layers = tracer.layer_metrics(by_name, trace.counts[0], failed_steps=0, train_tokens=0)
+    assert layers["tagger.encode_s"] > 0
+    # one batch per epoch of the one utterance, then one predict chunk
+    assert by_name["tagger.encode"]["calls"] == 3 + 1
+    assert by_name["tagger.predict"]["calls"] == 1
 
 
 def test_every_public_name_is_used_by_the_program(tracer):
