@@ -2,11 +2,11 @@
 
 ``run`` does all file I/O. It checks every output path first (none
 empty, no two on one file, parent made, a directory rejected), so a bad
-path fails before any work. Each ``_cmd_*`` handler reads an input through
-``_load`` (or ``_read_text``), which records the sha256 of the exact
-bytes it parsed and prefixes an error in them with the path as given,
-and returns ``(outputs, extras)``: per output flag, text or a function
-that writes a given path, plus manifest extras.
+path fails before any work. Each ``_cmd_*`` handler reads every input
+through ``_load``, which records the sha256 of the exact bytes it parsed
+and prefixes an error in them with the path as given, and returns
+``(outputs, extras)``: per output flag, text or a function that writes a
+given path, plus manifest extras.
 ``run`` writes the outputs atomically, then one manifest (command, flags,
 input digests, seed, tool version, extras) beside ``--out``, or in the
 working directory when there is none. Exit codes: 0 success, 1 module
@@ -105,21 +105,14 @@ def _digest(path: str) -> str:
         raise ToolkitError(f"cannot read {path}: {err.strerror or err}") from None
 
 
-@contextmanager
-def _naming(path: str):
-    """Re-raise a ToolkitError, or a csv.Error from reading a table, as ``PATH: message``."""
-    try:
-        yield
-    except (ToolkitError, csv.Error) as err:
-        raise ToolkitError(f"{path}: {err}") from None
-
-
 def _load(path: str, digests: dict[str, str], parse=None):
     """Read ``path`` and return ``parse(text)``, a dataset by default; errors name ``path``."""
     text = _read_text(path, digests)
-    with _naming(path):
+    try:
         # looked up per call, so a wrapper put on corpus.parse_dataset sees every parse
         return (parse or corpus.parse_dataset)(text)
+    except (ToolkitError, csv.Error) as err:
+        raise ToolkitError(f"{path}: {err}") from None
 
 
 def _write_manifest(args, digests: dict[str, str], target: Path, extra: dict) -> None:
@@ -167,8 +160,8 @@ def _cmd_homogenize(args, digests):
     ds = _load(args.infile, digests)
     lmap = _load(args.map, digests, homogenize.parse_label_map)
     out = homogenize.apply_label_map(ds, lmap)
-    if args.trim:
-        out = homogenize.trim_spans(out, [t for t in args.trim.split(",") if t])
+    if words := [t for t in (args.trim or "").split(",") if t]:  # "--trim ," trims nothing
+        out = homogenize.trim_spans(out, words)
     return {"out": corpus.write_dataset(out)}, {}
 
 
@@ -204,18 +197,22 @@ def _cmd_schedule(args, digests):
     return {"out": _json_text(payload) if args.out else None}, {}
 
 
+def _raw_sentences(text: str) -> list[list[str]]:
+    """The ``--mlm`` text's token lists, one per line that holds a token."""
+    return [s for s in map(_MLM_TOKEN_RE.findall, text.split("\n")) if s]
+
+
 def _cmd_train(args, digests):
     from . import tagger
 
     data = _load(args.train, digests)
-    mlm_sentences = None
-    if args.mlm:
-        lines = _read_text(args.mlm, digests).split("\n")
-        mlm_sentences = [s for s in map(_MLM_TOKEN_RE.findall, lines) if s]
+    mlm_sentences = _load(args.mlm, digests, _raw_sentences) if args.mlm else None
     hyper = {f.name: getattr(args, f.name) for f in dataclasses.fields(TrainConfig)}
     config = TrainConfig(**hyper)
-    with _naming(args.out):  # an error names the model file it leaves unwritten
+    try:
         model, log = tagger.train(data, config, mlm_sentences)
+    except ToolkitError as err:  # named after the model file it leaves unwritten
+        raise ToolkitError(f"{args.out}: {err}") from None
     for entry in log:
         losses = [getattr(entry, task) for task in tagger.HEADS]
         cells = ["-" if v is None else f"{v:.6f}" for v in losses]
@@ -231,73 +228,76 @@ def _cmd_predict(args, digests):
     return {"out": corpus.write_dataset(tagger.predict_dataset(model, data))}, {}
 
 
+def _agreement_table(text: str) -> metrics.AgreementTable:
+    header, rows = corpus.csv_rows(text)
+    rows = list(rows)
+    if len(header) < 2 or not rows:
+        raise ToolkitError("need a header row and at least one item row")
+    item, *categories = header
+    counts = []
+    for line, row in rows:
+        try:
+            votes = tuple(int(row[c]) for c in categories)
+        except ValueError:
+            raise ParseError(f"non-integer count in row {row[item]!r}", line=line) from None
+        # AgreementTable makes the same checks, but can name only an item index
+        if any(c < 0 for c in votes):
+            raise ParseError("negative count", line=line)
+        if counts and sum(votes) != sum(counts[0]):
+            raise ParseError(f"row sums to {sum(votes)}, expected {sum(counts[0])}", line=line)
+        counts.append(votes)
+    return metrics.AgreementTable(tuple(counts), sum(counts[0]))
+
+
 def _cmd_agreement(args, digests):
-    text = _read_text(args.table, digests)
-    with _naming(args.table):
-        header, rows = corpus.csv_rows(text)
-        rows = list(rows)
-        if len(header) < 2 or not rows:
-            raise ToolkitError("need a header row and at least one item row")
-        item, *categories = header
-        counts = []
-        for line, row in rows:
-            try:
-                votes = tuple(int(row[c]) for c in categories)
-            except ValueError:
-                raise ParseError(f"non-integer count in row {row[item]!r}", line=line) from None
-            # AgreementTable makes the same checks, but can name only an item index
-            if any(c < 0 for c in votes):
-                raise ParseError("negative count", line=line)
-            if counts and sum(votes) != sum(counts[0]):
-                raise ParseError(f"row sums to {sum(votes)}, expected {sum(counts[0])}", line=line)
-            counts.append(votes)
-        kappa = metrics.fleiss_kappa(metrics.AgreementTable(tuple(counts), sum(counts[0])))
+    kappa = metrics.fleiss_kappa(_load(args.table, digests, _agreement_table))
     print(f"fleiss_kappa\t{kappa:.4f}")
     return {}, {}
 
 
+def _pearson(text: str, x: str, y: str) -> float:
+    header, rows = corpus.csv_rows(text)
+    for col in (x, y):
+        if col not in header:
+            raise ToolkitError(f"no column {col!r}")
+    xs, ys = [], []
+    for line, row in rows:
+        try:
+            xs.append(float(row[x]))
+            ys.append(float(row[y]))
+        except ValueError:
+            raise ParseError(f"non-numeric value in row {row!r}", line=line) from None
+    return metrics.pearson(xs, ys)
+
+
 def _cmd_correlate(args, digests):
-    text = _read_text(args.scores, digests)
-    with _naming(args.scores):
-        header, rows = corpus.csv_rows(text)
-        for col in (args.x, args.y):
-            if col not in header:
-                raise ToolkitError(f"no column {col!r}")
-        xs, ys = [], []
-        for line, row in rows:
-            try:
-                xs.append(float(row[args.x]))
-                ys.append(float(row[args.y]))
-            except ValueError:
-                raise ParseError(f"non-numeric value in row {row!r}", line=line) from None
-        r = metrics.pearson(xs, ys)
+    r = _load(args.scores, digests, lambda text: _pearson(text, args.x, args.y))
     print(f"pearson\t{r:.4f}")
     return {}, {}
+
+
+def _score_table(text: str, metric: str | None, baseline: str) -> dict:
+    """One metric's ``(system, language) -> sample`` table from a score CSV."""
+    from . import significance
+
+    cells = significance.parse_scores_csv(text)
+    if not cells:
+        raise ToolkitError("no score rows")
+    present = sorted({m for _, _, m in cells})
+    if metric is None and len(present) != 1:
+        raise ToolkitError(f"has metrics {','.join(present)}; pick one with --metric")
+    metric = present[0] if metric is None else metric
+    scores = {(system, language): s for (system, language, m), s in cells.items() if m == metric}
+    if not scores:
+        raise ToolkitError(f"no rows with metric {metric!r}")
+    significance.baseline_languages(scores, baseline)
+    return scores
 
 
 def _cmd_significance(args, digests):
     from . import significance
 
-    text = _read_text(args.scores, digests)
-    with _naming(args.scores):
-        cells = significance.parse_scores_csv(text)
-        if not cells:
-            raise ToolkitError("no score rows")
-        metrics_present = sorted({metric for _, _, metric in cells})
-        metric = args.metric
-        if metric is None:
-            if len(metrics_present) != 1:
-                listed = ",".join(metrics_present)
-                raise ToolkitError(f"has metrics {listed}; pick one with --metric")
-            metric = metrics_present[0]
-        scores = {
-            (system, language): sample
-            for (system, language, m), sample in cells.items()
-            if m == metric
-        }
-        if not scores:
-            raise ToolkitError(f"no rows with metric {metric!r}")
-        significance.baseline_languages(scores, args.baseline)
+    scores = _load(args.scores, digests, lambda t: _score_table(t, args.metric, args.baseline))
     table = significance.compare_table(
         scores, args.baseline, alpha=args.alpha, n_boot=args.boot, seed=args.seed
     )

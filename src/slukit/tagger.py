@@ -652,8 +652,8 @@ def loads_model(text: str) -> TaggerModel:
     except KeyError as err:
         raise StructuralError(f"checkpoint missing field {err}") from None
     try:
-        config = TrainConfig(**config)
-    except TypeError as err:
+        config = _checkpoint_config(config)
+    except StructuralError as err:
         raise StructuralError(f"bad checkpoint config: {err}") from None
     try:
         vocab = Vocab(**{field.name: tuple(vocab[field.name]) for field in fields(Vocab)})
@@ -670,6 +670,30 @@ def loads_model(text: str) -> TaggerModel:
         raise StructuralError(f"parameter names mismatch: missing {missing}, extra {extra}")
     params = {name: _decode_tensor(name, raw[name], shape) for name, shape in shapes.items()}
     return TaggerModel(config, vocab, params)
+
+
+def _checkpoint_config(config) -> TrainConfig:
+    """The checkpoint's ``config`` object, holding exactly TrainConfig's fields.
+
+    A float field takes any JSON number; an int field takes a JSON
+    integer, or null where its default is None (``batches_per_epoch``).
+    Booleans are neither. So no field silently takes its default, and
+    ``32.0`` cannot pass a shape check only to fail as an array size.
+    """
+    if not isinstance(config, dict):
+        raise StructuralError("not an object")
+    names = {field.name for field in fields(TrainConfig)}
+    if set(config) != names:
+        missing, extra = sorted(names - set(config)), sorted(set(config) - names)
+        raise StructuralError(f"fields mismatch: missing {missing}, extra {extra}")
+    for field in fields(TrainConfig):
+        value = config[field.name]
+        if isinstance(field.default, float):  # the rule cli uses to type the train flags
+            if type(value) not in (int, float):
+                raise StructuralError(f"{field.name} must be a number, got {value!r}")
+        elif type(value) is not int and not (value is None and field.default is None):
+            raise StructuralError(f"{field.name} must be an integer, got {value!r}")
+    return TrainConfig(**config)
 
 
 def _decode_tensor(name: str, entry, shape: tuple[int, ...]) -> np.ndarray:

@@ -252,6 +252,18 @@ class TestHomogenizeMerge:
         ds = corpus.parse_dataset((workdir / "out.txt").read_text())
         assert ds.utterances[0].slot_tags == ("O", "O", "O", "B-time")
 
+    def test_trim_naming_no_word_leaves_tags_as_no_trim(self, workdir):
+        # "--trim ," names no word, so it must not repair the orphan I- either
+        (workdir / "in.txt").write_text(DIRTY)
+        (workdir / "map.txt").write_text("[slots]\nloc\tplace\n")
+        homogenize_in = ["homogenize", "--in", "in.txt", "--map", "map.txt"]
+        assert cli.run(homogenize_in + ["--out", "plain.txt"]) == 0
+        plain = (workdir / "plain.txt").read_text()
+        assert "\tI-place\n" in plain
+        for trim in ("", ",", ",,"):
+            assert cli.run(homogenize_in + ["--out", "trim.txt", "--trim", trim]) == 0
+            assert (workdir / "trim.txt").read_text() == plain, trim
+
     def test_in_place_manifest_records_parsed_bytes(self, workdir):
         (workdir / "d.txt").write_text(CLEAN)
         (workdir / "m.tsv").write_text("[slots]\ndatetime\ttime\n")
@@ -539,6 +551,27 @@ class TestTrainPredict:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
 
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda c: [c.pop(k) for k in ("seed", "embed_dim", "w_mlm")],
+         "fields mismatch: missing ['embed_dim', 'seed', 'w_mlm'], extra []"),
+        (lambda c: c.update(embed_dim=4.0), "embed_dim must be an integer, got 4.0"),
+        (lambda c: c.update(epochs=True), "epochs must be an integer, got True"),
+    ], ids=["fields_missing", "float_dim", "bool_epochs"])
+    def test_checkpoint_config_holds_train_config_fields(self, workdir, capsys, edit, message):
+        """A missing field does not take its default, and 4.0 does not pass as a dimension."""
+        self._write_corpus(workdir)
+        assert cli.run(self.TRAIN + ["--out", "model.json"]) == 0
+        path = workdir / "model.json"
+        payload = json.loads(path.read_text())
+        edit(payload["config"])
+        path.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert cli.run([
+            "predict", "--model", "model.json", "--in", "train.txt", "--out", "pred.txt",
+        ]) == 1
+        assert capsys.readouterr().err == f"error: model.json: bad checkpoint config: {message}\n"
+        assert not (workdir / "pred.txt").exists()
 
     @pytest.mark.parametrize("field,entry,message", [
         ("slot_tags", "X", "bad entry in slot_tags: malformed tag 'X' at position 4"),
@@ -1036,6 +1069,39 @@ def fuzz_inputs(workdir):
     config = tagger.TrainConfig(embed_dim=2, hidden_dim=2, epochs=1)
     tagger.save_model(tagger.train(ds, config)[0], workdir / "model.json")
     return workdir
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate", "--in", "clean.txt"],
+    ["evaluate", "--gold", "gold.txt", "--pred", "clean.txt", "--json", "o.json"],
+    ["project", "--src", "clean.txt", "--align", "align.jsonl", "--out", "o.txt"],
+    ["homogenize", "--in", "clean.txt", "--map", "map.txt", "--trim", "at", "--out", "o.txt"],
+    ["merge", "clean.txt", "other.txt", "--seed", "1", "--out", "o.txt"],
+    ["train", "--train", "clean.txt", "--mlm", "raw.txt", "--seed", "0", "--embed-dim", "2",
+     "--hidden-dim", "2", "--epochs", "1", "--out", "m.json"],
+    ["predict", "--model", "model.json", "--in", "clean.txt", "--out", "o.txt"],
+    ["agreement", "--table", "table.csv"],
+    ["correlate", "--scores", "pairs.csv", "--x", "kappa", "--y", "f1"],
+    ["significance", "--scores", "scores.csv", "--baseline", "base", "--seed", "0",
+     "--boot", "5"],
+], ids=lambda argv: argv[0])
+def test_every_input_is_read_through_load(fuzz_inputs, monkeypatch, argv):
+    """``cli._load`` is the one door: the paths it reads are the manifest's inputs."""
+    (fuzz_inputs / "gold.txt").write_text(CLEAN)
+    (fuzz_inputs / "other.txt").write_text(DIRTY)
+    (fuzz_inputs / "raw.txt").write_text("wake me\n\nat eight\n")
+    paths = []
+    load = cli._load
+
+    def recording(path, digests, parse=None):
+        paths.append(path)
+        return load(path, digests, parse)
+
+    monkeypatch.setattr(cli, "_load", recording)
+    assert cli.run(argv) == 0
+    primary = argv[argv.index("--out") + 1] if "--out" in argv else argv[0]
+    manifest = _manifest(fuzz_inputs / f"{primary}.manifest.json")
+    assert sorted(paths) == list(manifest["inputs"])
 
 
 class TestFuzz:

@@ -4,6 +4,7 @@ import json
 import math
 import random
 import re
+import sys
 from statistics import NormalDist
 
 import numpy as np
@@ -360,6 +361,26 @@ class TestSeparated:
             assert fields == vars(expected), row
             separated += significance._separated(a, b)
         assert len(payload["results"]) == 24 and separated == 12
+
+
+def test_benchmark_check_accepts_the_workload_table(tmp_path, monkeypatch):
+    """The significance workload's argv on its seed-5 scores passes ``check_significance``.
+
+    The check recomputes each verdict from ``epsilon_hat`` and
+    ``sigma_boot``, so a change to the bound's formula fails here as it
+    would fail the benchmark.
+    """
+    gen = load_perfbench("gen", monkeypatch)
+    monkeypatch.setitem(sys.modules, "gen", gen)  # run.py imports its siblings by name
+    monkeypatch.setitem(sys.modules, "tracer", load_perfbench("tracer", monkeypatch))
+    run, check = load_perfbench("run", monkeypatch), load_perfbench("check", monkeypatch)
+    (tmp_path / "inputs").mkdir()
+    (tmp_path / "out").mkdir()
+    truth = gen.significance(5, tmp_path / "inputs")["truth"]
+    monkeypatch.chdir(tmp_path / "out")
+    [(_, argv, _)] = run.steps("significance", 5)
+    assert cli.run(argv) == 0
+    assert check.check_significance(tmp_path / "out", truth) == ([], {})
 
 
 class TestBlockDraw:

@@ -713,6 +713,40 @@ class TestCheckpoint:
             )):
                 tagger.loads_model(text.replace(stamp, f'"format_version": {bad}, '))
 
+    def test_config_float_fields_take_json_integers(self, tmp_path):
+        # json writes TrainConfig(learning_rate=1) as 1, and that checkpoint must load
+        config = small_config(learning_rate=1, w_mlm=0, batches_per_epoch=2)
+        model, _ = tagger.train(overfit_corpus(), config)
+        path = tmp_path / "model.json"
+        tagger.save_model(model, path)
+        assert '"learning_rate": 1,' in path.read_text()
+        assert tagger.load_model(path).config == config
+
+    @pytest.mark.parametrize("corrupt,message", [
+        pytest.param(lambda p: p.update(config=[]), "not an object", id="config_list"),
+        pytest.param(lambda p: p["config"].update(dropout=0.1),
+                     r"fields mismatch: missing \[\], extra \['dropout'\]", id="extra_field"),
+        pytest.param(lambda p: p["config"].update(epochs=None),
+                     "epochs must be an integer, got None", id="null_epochs"),
+        pytest.param(lambda p: p["config"].update(batches_per_epoch=1.0),
+                     "batches_per_epoch must be an integer, got 1.0", id="float_batches"),
+        pytest.param(lambda p: p["config"].update(alpha=False),
+                     "alpha must be a number, got False", id="bool_alpha"),
+        pytest.param(lambda p: p["config"].update(mask_rate="0.15"),
+                     "mask_rate must be a number, got '0.15'", id="string_rate"),
+        pytest.param(lambda p: p["config"].update(epochs=0), "epochs must be >= 1",
+                     id="post_init"),
+    ])
+    def test_bad_config_named(self, tmp_path, corrupt, message):
+        model, _ = tagger.train(overfit_corpus(), small_config(epochs=1))
+        path = tmp_path / "model.json"
+        tagger.save_model(model, path)
+        payload = json.loads(path.read_text())
+        corrupt(payload)
+        path.write_text(json.dumps(payload))
+        with pytest.raises(StructuralError, match=rf"model\.json: bad checkpoint config: {message}"):
+            tagger.load_model(path)
+
     def test_shape_tampering_detected(self, tmp_path):
         model, _ = tagger.train(overfit_corpus(), small_config(epochs=1))
         path = tmp_path / "model.json"
