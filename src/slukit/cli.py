@@ -353,7 +353,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--map", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--trim", help="comma-separated function words to trim from span starts")
+    p.add_argument("--trim", help="comma-separated function words to trim from span starts; "
+                   "naming any word also repairs every tag sequence")
     p.set_defaults(handler=_cmd_homogenize)
 
     p = sub.add_parser("merge", help="concatenate and shuffle datasets")

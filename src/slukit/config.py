@@ -7,7 +7,7 @@ module loads no numpy, so commands that never train start without it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .errors import StructuralError
 
@@ -21,6 +21,11 @@ class TrainConfig:
     fraction of auxiliary-text positions selected for the masked-token
     task; alpha shapes the task sampling distribution. batches_per_epoch
     defaults to ceil(total instances / batch_size) when left at None.
+
+    Every value is checked, so a config that trains also loads from its
+    checkpoint. A field with a float default takes an int or a float; an
+    int field takes an int, and batches_per_epoch may also be None; no
+    field takes a bool. Then each value must be finite and in range.
     """
 
     embed_dim: int = 32
@@ -39,6 +44,13 @@ class TrainConfig:
     max_mlm_sentences: int = 100_000
 
     def __post_init__(self):
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if isinstance(field.default, float):  # cli types each train flag by this rule
+                if type(value) not in (int, float):
+                    raise StructuralError(f"{field.name} must be a number, got {value!r}")
+            elif type(value) is not int and not (value is None and field.default is None):
+                raise StructuralError(f"{field.name} must be an integer, got {value!r}")
         for name in ("learning_rate", "w_intent", "w_slot", "w_mlm", "mask_rate", "alpha"):
             if not math.isfinite(getattr(self, name)):
                 raise StructuralError(f"{name} must be finite, got {getattr(self, name)!r}")

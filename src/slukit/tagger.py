@@ -573,41 +573,34 @@ def predict_dataset(model: TaggerModel, data: Dataset) -> Dataset:
 
 
 def save_model(model: TaggerModel, path) -> None:
-    """Write a format-3 checkpoint: one sorted-key JSON object.
+    """Write a format-3 checkpoint: one sorted-key JSON object, then a newline.
 
     It holds ``format_version``, the ``config`` fields, the ``vocab``
     inventories and ``params``, where each tensor is ``{"shape": [...],
     "dtype": "<f8", "data": ...}`` and ``data`` is the base64 of the
-    tensor's little-endian float64 bytes in C order. Equal models give
-    byte-identical files: the bytes ``json.dump(..., sort_keys=True)``
-    writes for the whole object, then a newline. The object is written
-    in that key order one tensor at a time, and each tensor's base64 in
-    pieces, so no whole encoded tensor is held in memory.
+    tensor's little-endian float64 bytes in C order. The file is what
+    ``json.dump(..., sort_keys=True)`` writes, so equal models give
+    byte-identical files. ``json.dump`` writes it in chunks: no string of
+    the whole file is built.
     """
-    with open(path, "w", encoding="utf-8") as handle:  # keys in sort_keys order
-        handle.write('{"config": ' + json.dumps(asdict(model.config), sort_keys=True))
-        handle.write(f', "format_version": {json.dumps(CHECKPOINT_VERSION)}, "params": ')
-        _write_params(handle, model.params)
+    params = {
+        name: {
+            "data": base64.b64encode(np.ascontiguousarray(arr, dtype=TENSOR_DTYPE)).decode("ascii"),
+            "dtype": TENSOR_DTYPE,
+            "shape": list(arr.shape),
+        }
+        for name, arr in model.params.items()
+    }
+    payload = {
+        "config": asdict(model.config),
+        "format_version": CHECKPOINT_VERSION,
+        "params": params,
         # the vocab's tuples as they are: asdict() would deep-copy every token
-        vocab = {f.name: getattr(model.vocab, f.name) for f in fields(Vocab)}
-        handle.write(', "vocab": ' + json.dumps(vocab, sort_keys=True) + "}\n")
-
-
-_B64_PIECE = 3 << 16  # bytes per base64 call; a multiple of 3, so the pieces join exactly
-
-
-def _write_params(handle, params: dict[str, np.ndarray]) -> None:
-    """Write the ``params`` object in sorted-key order, each tensor's base64 in pieces."""
-    handle.write("{")
-    for k, name in enumerate(sorted(params)):
-        arr = params[name]
-        data = memoryview(np.ascontiguousarray(arr, dtype=TENSOR_DTYPE)).cast("B")
-        handle.write(("" if k == 0 else ", ") + json.dumps(name) + ': {"data": "')
-        for start in range(0, len(data), _B64_PIECE):
-            handle.write(base64.b64encode(data[start : start + _B64_PIECE]).decode("ascii"))
-        shape = json.dumps(list(arr.shape))
-        handle.write(f'", "dtype": {json.dumps(TENSOR_DTYPE)}, "shape": {shape}}}')
-    handle.write("}")
+        "vocab": {f.name: getattr(model.vocab, f.name) for f in fields(Vocab)},
+    }
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(payload, handle, sort_keys=True)
+        handle.write("\n")
 
 
 def load_model(path) -> TaggerModel:
@@ -675,10 +668,8 @@ def loads_model(text: str) -> TaggerModel:
 def _checkpoint_config(config) -> TrainConfig:
     """The checkpoint's ``config`` object, holding exactly TrainConfig's fields.
 
-    A float field takes any JSON number; an int field takes a JSON
-    integer, or null where its default is None (``batches_per_epoch``).
-    Booleans are neither. So no field silently takes its default, and
-    ``32.0`` cannot pass a shape check only to fail as an array size.
+    No field silently takes its default; TrainConfig checks each value's
+    type and range.
     """
     if not isinstance(config, dict):
         raise StructuralError("not an object")
@@ -686,13 +677,6 @@ def _checkpoint_config(config) -> TrainConfig:
     if set(config) != names:
         missing, extra = sorted(names - set(config)), sorted(set(config) - names)
         raise StructuralError(f"fields mismatch: missing {missing}, extra {extra}")
-    for field in fields(TrainConfig):
-        value = config[field.name]
-        if isinstance(field.default, float):  # the rule cli uses to type the train flags
-            if type(value) not in (int, float):
-                raise StructuralError(f"{field.name} must be a number, got {value!r}")
-        elif type(value) is not int and not (value is None and field.default is None):
-            raise StructuralError(f"{field.name} must be an integer, got {value!r}")
     return TrainConfig(**config)
 
 

@@ -263,6 +263,9 @@ class TestHomogenizeMerge:
         for trim in ("", ",", ",,"):
             assert cli.run(homogenize_in + ["--out", "trim.txt", "--trim", trim]) == 0
             assert (workdir / "trim.txt").read_text() == plain, trim
+        # naming any word, even one that occurs nowhere, repairs every tag sequence
+        assert cli.run(homogenize_in + ["--out", "trim.txt", "--trim", "zzz"]) == 0
+        assert (workdir / "trim.txt").read_text() == plain.replace("\tI-place\n", "\tB-place\n")
 
     def test_in_place_manifest_records_parsed_bytes(self, workdir):
         (workdir / "d.txt").write_text(CLEAN)

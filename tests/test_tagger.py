@@ -161,6 +161,21 @@ class TestConfigAndParams:
         with pytest.raises(StructuralError, match=f"{field} must be finite"):
             small_config(**{field: value})
 
+    @pytest.mark.parametrize("kw,message", [
+        ({"w_mlm": True}, "w_mlm must be a number, got True"),
+        ({"learning_rate": True}, "learning_rate must be a number, got True"),
+        ({"epochs": True}, "epochs must be an integer, got True"),
+        ({"batch_size": 8.0}, "batch_size must be an integer, got 8.0"),
+        ({"embed_dim": 4.0}, "embed_dim must be an integer, got 4.0"),
+        ({"seed": "1"}, "seed must be an integer, got '1'"),
+        ({"learning_rate": "x"}, "learning_rate must be a number, got 'x'"),
+    ], ids=["bool_w_mlm", "bool_rate", "bool_epochs", "float_batch", "float_dim",
+            "string_seed", "string_rate"])
+    def test_config_refuses_what_loading_refuses(self, kw, message):
+        # the words loads_model prints after "bad checkpoint config: "
+        with pytest.raises(StructuralError, match=f"^{re.escape(message)}$"):
+            small_config(**kw)
+
     def test_init_shapes_and_ranges(self):
         config, vocab = small_config(), small_vocab()
         params = tagger.init_params(config, vocab)
@@ -664,10 +679,10 @@ class TestCheckpoint:
         tagger.save_model(model, b)
         assert a.read_bytes() == b.read_bytes()
 
-    def test_streamed_bytes_equal_one_json_dump(self, tmp_path):
+    def test_file_is_one_sorted_key_json_dumps(self, tmp_path):
         model, _ = tagger.train(overfit_corpus(), small_config(epochs=1))
-        # a tensor of several base64 pieces, a non-contiguous one, a 0-d one
-        model.params["x_big"] = np.linspace(-1.0, 1.0, 3 * tagger._B64_PIECE // 8 + 5)
+        # a tensor of 589,864 bytes, a non-contiguous one, a 0-d one
+        model.params["x_big"] = np.linspace(-1.0, 1.0, 73_733)
         model.params["x_view"] = np.arange(12.0).reshape(3, 4).T
         model.params["x_scalar"] = np.array(2.5)
         path = tmp_path / "model.json"
@@ -720,6 +735,22 @@ class TestCheckpoint:
         path = tmp_path / "model.json"
         tagger.save_model(model, path)
         assert '"learning_rate": 1,' in path.read_text()
+        assert tagger.load_model(path).config == config
+
+    def test_config_off_every_default_round_trips(self, tmp_path):
+        # one epoch of one batch
+        off = dict(
+            embed_dim=3, hidden_dim=5, learning_rate=0.25, epochs=1, batch_size=3, seed=9,
+            w_intent=0.75, w_slot=1.5, w_mlm=0.5, mask_rate=0.3, alpha=0.8, min_count=2,
+            batches_per_epoch=1, max_mlm_sentences=7,
+        )
+        config = tagger.TrainConfig(**off)
+        defaults = tagger.TrainConfig()
+        assert set(off) == {field.name for field in dataclasses.fields(config)}
+        assert all(getattr(config, name) != getattr(defaults, name) for name in off)
+        model, _ = tagger.train(overfit_corpus(), config, plain_sentences())
+        path = tmp_path / "model.json"
+        tagger.save_model(model, path)
         assert tagger.load_model(path).config == config
 
     @pytest.mark.parametrize("corrupt,message", [
