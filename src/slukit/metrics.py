@@ -13,12 +13,15 @@ both are 0):
   recall use different match counts.
 
 Predicted tag sequences are repaired into valid BIO before scoring; gold
-sequences are required to be valid already.
+sequences are required to be valid already. ``strict_f1`` walks each
+(gold, pred) pair once, repairs its predicted tags once, and counts all
+three regimes in that one pass.
 """
 
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import asdict, dataclass
 
 from . import bio
@@ -62,12 +65,19 @@ def _scores(hits_pred: int, n_pred: int, hits_gold: int, n_gold: int) -> MicroSc
     return MicroScores(p, r, 0.0 if p + r == 0 else 2 * p * r / (p + r))
 
 
-def _aligned_spans(gold: Dataset, pred: Dataset):
-    """Pair up the span lists of equal-length gold and pred, repairing pred tags first.
+def strict_f1(gold: Dataset, pred: Dataset) -> EvalReport:
+    """Evaluate pred against gold, with strict span matching as the headline.
 
-    Pairs are made by position, so each pair must also share its id.
+    Returns the full report: a per-label table of strict counts, micro
+    precision/recall/F1 for all three regimes, and intent accuracy.
+    Pairs are made by position, so each pair must also share its id and
+    token count. Each pair is walked once: its predicted tags are repaired
+    once, and its spans add to the strict, unlabeled and loose counts in
+    the same pass.
     """
-    pairs = []
+    accuracy = intent_accuracy(gold, pred)  # checks that the lengths agree
+    tp, fp, fn = defaultdict(int), defaultdict(int), defaultdict(int)
+    n_gold = n_pred = boundary_hits = loose_gold = loose_pred = 0
     for k, (g, p) in enumerate(zip(gold, pred)):
         if g.id != p.id:
             raise AlignmentError(f"utterance {k}: gold id {g.id!r}, pred id {p.id!r}")
@@ -81,75 +91,37 @@ def _aligned_spans(gold: Dataset, pred: Dataset):
         except StructuralError as err:
             raise StructuralError(f"gold utterance {g.id!r}: {err}") from None
         pred_spans = bio.spans_from_tags(bio.repair(p.slot_tags))
-        pairs.append((gold_spans, pred_spans))
-    return pairs
-
-
-def strict_f1(gold: Dataset, pred: Dataset) -> EvalReport:
-    """Evaluate pred against gold, with strict span matching as the headline.
-
-    Returns the full report: a per-label table of strict counts, micro
-    precision/recall/F1 for all three regimes, and intent accuracy.
-    """
-    accuracy = intent_accuracy(gold, pred)  # checks that the lengths agree
-    pairs = _aligned_spans(gold, pred)
-    labels = sorted(
-        {s.label for gs, _ in pairs for s in gs}
-        | {s.label for _, ps in pairs for s in ps}
-    )
-    tp = dict.fromkeys(labels, 0)
-    fp = dict.fromkeys(labels, 0)
-    fn = dict.fromkeys(labels, 0)
-    for gold_spans, pred_spans in pairs:
+        n_gold += len(gold_spans)
+        n_pred += len(pred_spans)
         gset, pset = set(gold_spans), set(pred_spans)
         for span in pset:
             if span in gset:
                 tp[span.label] += 1
             else:
                 fp[span.label] += 1
-        for span in gset:
-            if span not in pset:
-                fn[span.label] += 1
+        for span in gset - pset:
+            fn[span.label] += 1
+        boundary_hits += len(
+            {(s.start, s.end) for s in gold_spans} & {(s.start, s.end) for s in pred_spans}
+        )
+        for span in pred_spans:
+            if any(span.label == s.label and span.overlaps(s) for s in gold_spans):
+                loose_pred += 1
+        for span in gold_spans:
+            if any(span.label == s.label and span.overlaps(s) for s in pred_spans):
+                loose_gold += 1
     per_label = {}
-    for label in labels:
+    for label in sorted(tp.keys() | fp.keys() | fn.keys()):
         m = _scores(tp[label], tp[label] + fp[label], tp[label], tp[label] + fn[label])
         per_label[label] = LabelScores(tp[label], fp[label], fn[label], m.precision, m.recall, m.f1)
     # micro strict comes from the summed per-label counts by construction
     tp_sum, fp_sum, fn_sum = sum(tp.values()), sum(fp.values()), sum(fn.values())
     micro = {
         "strict": _scores(tp_sum, tp_sum + fp_sum, tp_sum, tp_sum + fn_sum),
-        "unlabeled": _micro_unlabeled(pairs),
-        "loose": _micro_loose(pairs),
+        "unlabeled": _scores(boundary_hits, n_pred, boundary_hits, n_gold),
+        "loose": _scores(loose_pred, n_pred, loose_gold, n_gold),
     }
     return EvalReport(per_label, micro, accuracy, len(gold))
-
-
-def _micro_unlabeled(pairs) -> MicroScores:
-    """Micro scores where only span boundaries must match."""
-    tp = fp = fn = 0
-    for gold_spans, pred_spans in pairs:
-        gset = {(s.start, s.end) for s in gold_spans}
-        pset = {(s.start, s.end) for s in pred_spans}
-        hit = len(gset & pset)
-        tp += hit
-        fp += len(pset) - hit
-        fn += len(gset) - hit
-    return _scores(tp, tp + fp, tp, tp + fn)
-
-
-def _micro_loose(pairs) -> MicroScores:
-    """Micro scores where one shared token with a same-label span counts."""
-    matched_pred = total_pred = matched_gold = total_gold = 0
-    for gold_spans, pred_spans in pairs:
-        total_pred += len(pred_spans)
-        total_gold += len(gold_spans)
-        for span in pred_spans:
-            if any(span.label == g.label and span.overlaps(g) for g in gold_spans):
-                matched_pred += 1
-        for span in gold_spans:
-            if any(span.label == p.label and span.overlaps(p) for p in pred_spans):
-                matched_gold += 1
-    return _scores(matched_pred, total_pred, matched_gold, total_gold)
 
 
 def intent_accuracy(gold: Dataset, pred: Dataset) -> float:

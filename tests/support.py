@@ -157,6 +157,15 @@ def scan_tag_issues(tags) -> list[tuple[int, IssueKind]]:
     return issues
 
 
+def _oracle_micro(hits_pred, n_pred, hits_gold, n_gold) -> tuple[float, float, float]:
+    """Precision hits_pred / n_pred and recall hits_gold / n_gold (0 when empty), with F1."""
+    precision = hits_pred / n_pred if n_pred else 0.0
+    recall = hits_gold / n_gold if n_gold else 0.0
+    if precision + recall == 0:
+        return precision, recall, 0.0
+    return precision, recall, 2 * precision * recall / (precision + recall)
+
+
 def oracle_strict_micro(gold_seqs, pred_seqs) -> tuple[float, float, float]:
     """Micro precision/recall/F1 over exact span matches, via brute_spans."""
     tp = fp = fn = 0
@@ -165,11 +174,65 @@ def oracle_strict_micro(gold_seqs, pred_seqs) -> tuple[float, float, float]:
         tp += len(gs & ps)
         fp += len(ps - gs)
         fn += len(gs - ps)
-    precision = tp / (tp + fp) if tp + fp else 0.0
-    recall = tp / (tp + fn) if tp + fn else 0.0
-    if precision + recall == 0:
-        return precision, recall, 0.0
-    return precision, recall, 2 * precision * recall / (precision + recall)
+    return _oracle_micro(tp, tp + fp, tp, tp + fn)
+
+
+def brute_repaired_spans(tags) -> set[tuple[int, int, str]]:
+    """The (start, end, label) chunks of raw tags, read the way repair reads them.
+
+    A chunk opens at a B, or at an I with no chunk open (first position,
+    or after O), and takes the opening tag's label; every I after it
+    continues it whatever its label. Each candidate pair of bounds is
+    tested on its own, with no call into the package.
+    """
+    tags = list(tags)
+    n = len(tags)
+    found = set()
+    for start in range(n):
+        opens = tags[start].startswith("B-") or (
+            tags[start].startswith("I-") and (start == 0 or tags[start - 1] == "O")
+        )
+        if not opens:
+            continue
+        for end in range(start + 1, n + 1):
+            if not all(tags[k].startswith("I-") for k in range(start + 1, end)):
+                continue
+            if end < n and tags[end].startswith("I-"):
+                continue
+            found.add((start, end, tags[start][2:]))
+    return found
+
+
+def _touch(x, y) -> bool:
+    """Same label and at least one shared token."""
+    return x[2] == y[2] and x[0] < y[1] and y[0] < x[1]
+
+
+def oracle_regimes(gold_seqs, pred_seqs):
+    """Per-label strict (tp, fp, fn), and unlabeled and loose micro (P, R, F1).
+
+    Gold is read with brute_spans and raw pred with brute_repaired_spans.
+    Loose matching tests every gold span against every predicted span.
+    """
+    per_label: dict[str, list[int]] = {}
+    n_gold = n_pred = boundary_hits = loose_gold = loose_pred = 0
+    for g, p in zip(gold_seqs, pred_seqs):
+        gs, ps = brute_spans(g), brute_repaired_spans(p)
+        n_gold += len(gs)
+        n_pred += len(ps)
+        for span in gs | ps:
+            counts = per_label.setdefault(span[2], [0, 0, 0])
+            counts[0] += span in gs and span in ps
+            counts[1] += span in ps and span not in gs
+            counts[2] += span in gs and span not in ps
+        boundary_hits += len({s[:2] for s in gs} & {s[:2] for s in ps})
+        loose_pred += sum(any(_touch(x, y) for y in gs) for x in ps)
+        loose_gold += sum(any(_touch(x, y) for y in ps) for x in gs)
+    return (
+        {label: tuple(counts) for label, counts in per_label.items()},
+        _oracle_micro(boundary_hits, n_pred, boundary_hits, n_gold),
+        _oracle_micro(loose_pred, n_pred, loose_gold, n_gold),
+    )
 
 
 # -------------------------------------------------------------- grid oracle

@@ -10,7 +10,9 @@ from slukit import metrics
 from slukit.corpus import Dataset
 from slukit.errors import AlignmentError, StructuralError
 
-from support import make_dataset, oracle_strict_micro, random_valid_tags
+from support import (
+    make_dataset, oracle_regimes, oracle_strict_micro, random_messy_tags, random_valid_tags,
+)
 
 
 def _pair(gold_seqs, pred_seqs, gold_intents=None, pred_intents=None):
@@ -137,6 +139,25 @@ class TestUnlabeledAndLoose:
             assert strict.precision <= loose.precision
             assert strict.recall <= loose.recall
             assert strict.f1 <= loose.f1 + 1e-12
+
+    def test_every_regime_matches_brute_force_oracle(self):
+        # 1,000 pairs in datasets of 10; raw pred tags carry orphan I tags
+        # and label switches, so repair has work to do before scoring
+        rng = random.Random(7)
+        labels = ("a", "b")
+        for _ in range(100):
+            gold_seqs, pred_seqs = [], []
+            for _ in range(10):
+                n = rng.randint(1, 12)
+                gold_seqs.append(random_valid_tags(rng, n, labels))
+                pred_seqs.append(random_messy_tags(rng, n, labels))
+            report = metrics.strict_f1(*_pair(gold_seqs, pred_seqs))
+            per_label, unlabeled, loose = oracle_regimes(gold_seqs, pred_seqs)
+            assert {k: (s.tp, s.fp, s.fn) for k, s in report.per_label.items()} == per_label
+            assert list(report.per_label) == sorted(per_label)
+            for regime, expected in (("unlabeled", unlabeled), ("loose", loose)):
+                m = report.micro[regime]
+                assert (m.precision, m.recall, m.f1) == expected
 
 
 class TestIntentAccuracy:

@@ -4,7 +4,8 @@
 ``getattr`` and no default, so renaming or deleting one of those names
 breaks the traced benchmark; these tests catch that in the suite. A
 public name that neither the program nor the tracer uses is a second
-path kept alive only by tests, and the last test here refuses it.
+path kept alive only by tests, and the last two tests here refuse it,
+along with any private helper that nothing calls.
 """
 
 import ast
@@ -95,13 +96,14 @@ def test_traced_train_and_predict_time_the_engine(tracer, tmp_path, monkeypatch)
     assert by_name["tagger.predict"]["calls"] == 1
 
 
-def test_every_public_name_is_used_by_the_program(tracer):
-    """Each public top-level def and class in the package is referenced by program code.
+def _unused_top_level_names(tracer, private: bool) -> list[str]:
+    """Top-level defs and classes of the package that program code never references.
 
     A reference is a ``Name`` in the defining module (other than the
     definition itself), a ``from .module import name``, or a
     ``module.name`` attribute in any module of the package. Names the
     tracer wraps count as used, since the benchmark looks them up.
+    ``private`` picks the names that start with an underscore, or the rest.
     """
     trees = {
         path.stem: ast.parse(path.read_text(encoding="utf-8"))
@@ -116,12 +118,21 @@ def test_every_public_name_is_used_by_the_program(tracer):
                 used.update((node.module, alias.name) for alias in node.names)
             elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
                 used.add((node.value.id, node.attr))
-    unused = [
+    return [
         f"slukit.{module}.{node.name}"
         for module, tree in trees.items()
         for node in tree.body
         if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-        and not node.name.startswith("_")
+        and node.name.startswith("_") == private
         and (module, node.name) not in used
     ]
-    assert unused == []
+
+
+def test_every_public_name_is_used_by_the_program(tracer):
+    """Each public top-level def and class in the package is referenced by program code."""
+    assert _unused_top_level_names(tracer, private=False) == []
+
+
+def test_every_private_name_is_used_by_the_program(tracer):
+    """Each private top-level def and class is referenced too, so no dead helper stays."""
+    assert _unused_top_level_names(tracer, private=True) == []
